@@ -26,10 +26,13 @@
 //                                            # discovery (default: hardware)
 //   discovery_hotpath --skip-reference       # determinism job: only compare
 //                                            # serial vs parallel discovery
+//   discovery_hotpath --help                 # print usage and exit 0
 //
 // Exits 1 when any model's reports diverge between engines and 2 when a
 // time budget is exceeded, so correctness or perf regressions in the hot
-// path fail loudly instead of skewing results silently.
+// path fail loudly instead of skewing results silently. An unknown model or
+// flag, a missing value or a malformed number prints a diagnostic and exits
+// 2 before any discovery runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -158,6 +161,25 @@ std::string git_sha() {
   return sha.empty() ? "unknown" : sha;
 }
 
+constexpr const char* kUsage =
+    "usage: discovery_hotpath [options] [model ...]\n"
+    "  (no model)                 the full registry\n"
+    "  --max-seconds N            fail (exit 2) if any serial compiled\n"
+    "                             discovery exceeds N seconds\n"
+    "  --max-total-seconds N      fail (exit 2) if the summed serial\n"
+    "                             discoveries exceed N seconds\n"
+    "  --sweep-threads N          parallel chases per benchmark\n"
+    "  --bench-threads N          concurrent stages per discovery\n"
+    "  --skip-reference           only compare serial vs parallel discovery\n"
+    "  --help                     print this text\n";
+
+/// Parses a non-negative number that must span the whole argument.
+bool parse_number(const char* text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text, &end);
+  return end != text && *end == '\0' && out >= 0.0 && out < 1e12;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -167,25 +189,50 @@ int main(int argc, char** argv) {
   std::uint32_t sweep_threads = std::max(1u, std::thread::hardware_concurrency());
   std::uint32_t bench_threads = std::max(1u, std::thread::hardware_concurrency());
   bool skip_reference = false;
+  const auto usage_error = [](const std::string& message) {
+    std::fprintf(stderr, "discovery_hotpath: %s\n%s", message.c_str(), kUsage);
+    return 2;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--max-seconds" && i + 1 < argc) {
-      max_seconds = std::atof(argv[++i]);
-    } else if (arg == "--max-total-seconds" && i + 1 < argc) {
-      max_total_seconds = std::atof(argv[++i]);
-    } else if (arg == "--sweep-threads" && i + 1 < argc) {
-      sweep_threads = static_cast<std::uint32_t>(
-          std::max(1L, std::atol(argv[++i])));
-    } else if (arg == "--bench-threads" && i + 1 < argc) {
-      bench_threads = static_cast<std::uint32_t>(
-          std::max(1L, std::atol(argv[++i])));
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(kUsage, stdout);
+      return 0;
+    }
+    if (arg == "--max-seconds" || arg == "--max-total-seconds" ||
+        arg == "--sweep-threads" || arg == "--bench-threads") {
+      if (i + 1 >= argc) return usage_error(arg + " needs a value");
+      double value = 0.0;
+      if (!parse_number(argv[++i], value)) {
+        return usage_error("malformed value for " + arg + ": '" + argv[i] +
+                           "'");
+      }
+      if (arg == "--max-seconds") {
+        max_seconds = value;
+      } else if (arg == "--max-total-seconds") {
+        max_total_seconds = value;
+      } else {
+        const auto threads =
+            static_cast<std::uint32_t>(std::clamp(value, 1.0, 4096.0));
+        (arg == "--sweep-threads" ? sweep_threads : bench_threads) = threads;
+      }
     } else if (arg == "--skip-reference") {
       skip_reference = true;
+    } else if (arg.starts_with("-")) {
+      return usage_error("unknown option '" + arg + "'");
     } else {
       models.push_back(arg);
     }
   }
   if (models.empty()) models = sim::registry_all_names();
+  for (const auto& model : models) {
+    try {
+      (void)sim::registry_get(model);
+    } catch (const sim::UnknownModelError& error) {
+      std::fprintf(stderr, "discovery_hotpath: %s\n", error.what());
+      return 2;
+    }
+  }
 
   std::vector<ModelResult> results;
   TablePrinter table({"model", "serial [s]", "parallel [s]", "par x",

@@ -33,9 +33,9 @@ struct GraphRun {
   std::vector<StageRecord> records;
   std::vector<std::exception_ptr> errors;
   std::vector<bool> failed;  ///< threw, or transitively depends on a throw
-  /// Forked Gpus recycled across stages (substrates + chase replicas):
-  /// forking rebuilds every cache, so a fork-per-stage would dominate small
-  /// discoveries on big-cache models.
+  /// Forked Gpus recycled across stages (substrates + chase replicas): a
+  /// fork rebuilds every cache object and re-faults every page its chases
+  /// touch, which recycling skips.
   runtime::ReplicaCache replicas;
 
   explicit GraphRun(sim::Gpu& gpu_, const StageGraph& graph_,

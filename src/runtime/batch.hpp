@@ -60,13 +60,14 @@
 
 namespace mt4g::runtime {
 
-/// A thread-safe free list of owner forks. Forking a Gpu costs a full cache
-/// reconstruction (milliseconds on models with large caches), but replicas
-/// are interchangeable: every chase resets its replica (flush + reseed)
-/// before running, and a flushed cache is observationally identical to a
-/// fresh one. The discovery stage runner shares one cache per graph run so
-/// stage substrates and chase replicas are forked once and recycled, instead
-/// of once per stage. Acquire/release order never influences results —
+/// A thread-safe free list of owner forks. A fork writes no cache state (the
+/// way state is untouched zero pages), but it still rebuilds every cache
+/// object and re-materialises the pages its chases touch, and replicas are
+/// interchangeable: every chase resets its replica (flush + reseed) before
+/// running, and a flushed cache is observationally identical to a fresh
+/// one. Recycling keeps the warm pages and skips the rebuild. The discovery
+/// stage runner shares one cache per graph run so stage substrates and chase
+/// replicas are forked once and recycled, instead of once per stage. Acquire/release order never influences results —
 /// that is exactly the reset discipline's guarantee.
 class ReplicaCache {
  public:

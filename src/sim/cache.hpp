@@ -10,6 +10,7 @@
 // oversubscribed sets thrash while the rest keep hitting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,8 +63,41 @@ struct CacheSnapshot {
   }
 };
 
+/// Zero-filled memory from one anonymous mapping. The OS materialises a page
+/// on its first touch, so an untouched region costs address space only. A
+/// Gpu backs the way state of all its caches with one of these: a fresh Gpu
+/// or fork then costs the pages its chases touch, not the full tag arrays of
+/// every modelled cache. Move-only; the mapping is released on destruction.
+class ZeroPages {
+ public:
+  ZeroPages() = default;
+  explicit ZeroPages(std::size_t bytes);
+  ZeroPages(ZeroPages&& other) noexcept;
+  ZeroPages& operator=(ZeroPages&& other) noexcept;
+  ZeroPages(const ZeroPages&) = delete;
+  ZeroPages& operator=(const ZeroPages&) = delete;
+  ~ZeroPages();
+
+  /// Hands out the next @p bytes, 64-byte aligned. Throws std::logic_error
+  /// when the mapping is exhausted (a sizing bug in the caller).
+  void* carve(std::size_t bytes);
+
+  /// What carve(@p bytes) consumes, padding included.
+  static std::size_t carved_size(std::size_t bytes) {
+    return (bytes + 63) & ~std::size_t{63};
+  }
+
+ private:
+  std::byte* base_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t used_ = 0;
+};
+
 /// One physical cache. Addresses are raw byte addresses in the simulated
 /// global heap; the cache is physically indexed/tagged.
+///
+/// All way state lives in ZeroPages and an empty way is all-zero bits, so
+/// constructing a cache writes none of it.
 ///
 /// access() is THE simulator hot path: a discovery issues hundreds of
 /// millions of loads, each one call. It is defined inline below so the
@@ -72,7 +106,19 @@ struct CacheSnapshot {
 /// geometry is a power of two (it always is for real specs).
 class SectoredCache {
  public:
+  /// A cache backed by its own mapping.
   explicit SectoredCache(const CacheGeometry& geometry);
+  /// A cache whose way state is carved from @p pages, which must outlive it
+  /// and have state_bytes(geometry) left.
+  SectoredCache(const CacheGeometry& geometry, ZeroPages& pages);
+  SectoredCache(SectoredCache&&) noexcept = default;
+  SectoredCache& operator=(SectoredCache&&) noexcept = default;
+  SectoredCache(const SectoredCache&) = delete;
+  SectoredCache& operator=(const SectoredCache&) = delete;
+
+  /// Bytes of ZeroPages the way state of @p geometry needs. Throws
+  /// std::invalid_argument for geometries the constructor would reject.
+  static std::size_t state_bytes(const CacheGeometry& geometry);
 
   /// Probes and updates state: on a sector miss the sector is filled (and the
   /// line allocated, evicting LRU if needed).
@@ -83,6 +129,14 @@ class SectoredCache {
 
   /// Drops all contents.
   void flush();
+
+  /// Dirty-list membership for the owning Gpu: returns true on the first
+  /// call after construction or a flush(), false until the next flush().
+  bool enlist() {
+    const bool first = !enlisted_;
+    enlisted_ = true;
+    return first;
+  }
 
   /// Captures the live state of every touched set (plus LRU clock and
   /// counters) into `out`. Only valid between flushes: the touched-set list
@@ -119,10 +173,12 @@ class SectoredCache {
   std::uint32_t num_sets() const { return num_sets_; }
 
  private:
-  /// Tag value of an empty way. Real tags are line numbers, bounded far
-  /// below 2^63 by the simulated heap size, so the sentinel cannot collide.
-  static constexpr std::uint64_t kInvalidTag = ~0ULL;
+  /// Tag value of an empty way: a live way stores its line number + 1, so
+  /// zero-filled pages are an empty cache. Line numbers stay far below 2^63
+  /// (the simulated heap is small), so the + 1 cannot wrap.
+  static constexpr std::uint64_t kInvalidTag = 0;
 
+  void bind(ZeroPages& pages);
   void capture_rows(CacheSnapshot& out) const;
 
   CacheGeometry geometry_;
@@ -132,13 +188,15 @@ class SectoredCache {
   std::uint64_t stamp_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  bool enlisted_ = false;
+  ZeroPages own_pages_;  ///< empty when the state is carved from a Gpu's
   // Way state in structure-of-arrays layout, row-major by set: the tag scan
   // of an 8-way set then touches one cache line instead of four, which is
   // most of access()'s cost. Entry w of set s lives at s * ways_per_set_ + w.
-  std::vector<std::uint64_t> tags_;    ///< kInvalidTag marks an empty way
-  std::vector<std::uint32_t> masks_;   ///< bit i: sector i of the line filled
-  std::vector<std::uint64_t> stamps_;  ///< LRU stamps (unique, monotonic)
-  std::vector<std::uint32_t> hints_;   ///< per-set way index of last access
+  std::uint64_t* tags_ = nullptr;    ///< line + 1, kInvalidTag if empty
+  std::uint32_t* masks_ = nullptr;   ///< bit i: sector i of the line filled
+  std::uint64_t* stamps_ = nullptr;  ///< LRU stamps (unique, monotonic)
+  std::uint32_t* hints_ = nullptr;   ///< per-set way index of last access
 
   /// Exact touched-set tracking: touch_marks_[set] == generation_ iff `set`
   /// appears in touched_, the deduplicated list of sets dirtied since the
@@ -149,10 +207,19 @@ class SectoredCache {
   /// all their time in flush. Unlike the ring journal this replaced, the
   /// list never overflows into a full memset for long low-footprint chases,
   /// and it doubles as the capture list for snapshot(). Bumping generation_
-  /// invalidates all marks in O(1).
+  /// invalidates all marks in O(1). touched_ has room for every set, so the
+  /// push in access() never allocates.
   std::uint64_t generation_ = 1;
-  std::vector<std::uint64_t> touch_marks_;
-  std::vector<std::uint32_t> touched_;
+  std::uint64_t* touch_marks_ = nullptr;
+  std::uint32_t* touched_ = nullptr;
+  std::uint32_t touched_count_ = 0;
+
+  void mark_touched(std::uint32_t set) {
+    if (touch_marks_[set] != generation_) {
+      touch_marks_[set] = generation_;
+      touched_[touched_count_++] = set;
+    }
+  }
 
   // Precomputed index math (set up by the constructor). A shift value of
   // kNoShift means the quantity is not a power of two and the division is
@@ -199,11 +266,9 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   const std::uint64_t line = line_of(address);
   const std::uint32_t set = set_of(line);
   const std::uint32_t sector = sector_of(address);
+  const std::uint64_t tag = line + 1;
   const std::size_t base = static_cast<std::size_t>(set) * ways_per_set_;
-  if (touch_marks_[set] != generation_) {
-    touch_marks_[set] = generation_;
-    touched_.push_back(set);
-  }
+  mark_touched(set);
   ++stamp_;
 
   // A p-chase revisits the same line line/stride times in a row, so the way
@@ -214,11 +279,11 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   CacheAccess result;
   const std::uint32_t hinted = hints_[set];
   std::uint32_t match = ways_per_set_;
-  if (tags_[base + hinted] == line) {
+  if (tags_[base + hinted] == tag) {
     match = hinted;
   } else {
     for (std::uint32_t w = 0; w < ways_per_set_; ++w) {
-      if (tags_[base + w] == line) {
+      if (tags_[base + w] == tag) {
         match = w;
         break;
       }
@@ -239,9 +304,9 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
   }
   // Line miss: allocate over the minimum-stamp way, branchlessly (the LRU
   // compare outcome is data-dependent and would mispredict). Empty ways
-  // carry stamp 0 (stamps are zeroed on flush, live stamps start at 1) and
-  // the strict < keeps the first minimum, so this selects exactly what the
-  // historical "first empty way, else LRU" rule selected.
+  // carry stamp 0 (stamps start zeroed and are zeroed on flush, live stamps
+  // start at 1) and the strict < keeps the first minimum, so this selects
+  // exactly what the historical "first empty way, else LRU" rule selected.
   std::size_t victim = base;
   std::uint64_t victim_stamp = stamps_[base];
   for (std::uint32_t w = 1; w < ways_per_set_; ++w) {
@@ -251,7 +316,7 @@ inline CacheAccess SectoredCache::access(std::uint64_t address) {
     victim_stamp = less ? s : victim_stamp;
   }
   ++misses_;
-  tags_[victim] = line;
+  tags_[victim] = tag;
   masks_[victim] = 1u << sector;
   stamps_[victim] = stamp_;
   hints_[set] = static_cast<std::uint32_t>(victim - base);

@@ -42,47 +42,75 @@ Gpu::Gpu(const GpuSpec& spec, std::uint64_t seed, std::optional<MigProfile> mig,
   // Per-SM caches, one physical cache per sharing group. Elements that share
   // a physical_group must agree on geometry; the first one encountered wins
   // and a mismatch is a spec bug we surface immediately.
-  sm_caches_.resize(spec_.num_sms);
+  for (const auto& [element, espec] : spec_.elements) {
+    if (!is_per_sm_cache(element)) continue;
+    if (const SmGroup* group = sm_group(element)) {
+      const auto& rep = spec_.at(group->representative);
+      if (rep.size_bytes != espec.size_bytes ||
+          rep.line_bytes != espec.line_bytes ||
+          rep.sector_bytes != espec.sector_bytes) {
+        throw std::invalid_argument(
+            "gpu: elements sharing physical_group disagree on geometry");
+      }
+      continue;
+    }
+    const std::uint32_t segments = std::max<std::uint32_t>(espec.amount, 1);
+    sm_groups_.push_back({espec.physical_group, element, sm_slots_, segments});
+    sm_slots_ += segments;
+  }
+  std::vector<std::uint32_t> sl1d_groups;
+  if (spec_.has(Element::kSL1D)) {
+    for (std::uint32_t logical = 0; logical < spec_.num_sms; ++logical) {
+      sl1d_groups.push_back(spec_.physical_cu(logical) /
+                            std::max<std::uint32_t>(spec_.sl1d_group_size, 1));
+    }
+    std::sort(sl1d_groups.begin(), sl1d_groups.end());
+    sl1d_groups.erase(std::unique(sl1d_groups.begin(), sl1d_groups.end()),
+                      sl1d_groups.end());
+  }
+  const std::uint32_t l2_count =
+      spec_.has(Element::kL2)
+          ? std::max<std::uint32_t>(spec_.at(Element::kL2).amount, 1)
+          : 0;
+
+  // One mapping for the way state of every cache.
+  const auto state_bytes = [this](Element element) {
+    return SectoredCache::state_bytes(geometry_of(spec_.at(element)));
+  };
+  std::size_t bytes = 0;
+  for (const SmGroup& group : sm_groups_) {
+    bytes += std::size_t{spec_.num_sms} * group.segments *
+             state_bytes(group.representative);
+  }
+  if (l2_count > 0) bytes += l2_count * state_bytes(Element::kL2);
+  if (spec_.has(Element::kL3)) bytes += state_bytes(Element::kL3);
+  if (!sl1d_groups.empty()) {
+    bytes += sl1d_groups.size() * state_bytes(Element::kSL1D);
+  }
+  pages_ = ZeroPages(bytes);
+
+  sm_caches_.reserve(std::size_t{spec_.num_sms} * sm_slots_);
   for (std::uint32_t sm = 0; sm < spec_.num_sms; ++sm) {
-    for (const auto& [element, espec] : spec_.elements) {
-      if (!is_per_sm_cache(element)) continue;
-      auto [it, inserted] = sm_caches_[sm].try_emplace(espec.physical_group);
-      if (inserted) {
-        it->second.representative = element;
-        const std::uint32_t segments = std::max<std::uint32_t>(espec.amount, 1);
-        for (std::uint32_t s = 0; s < segments; ++s) {
-          it->second.segments.emplace_back(geometry_of(espec));
-        }
-      } else {
-        const auto& rep = spec_.at(it->second.representative);
-        if (rep.size_bytes != espec.size_bytes ||
-            rep.line_bytes != espec.line_bytes ||
-            rep.sector_bytes != espec.sector_bytes) {
-          throw std::invalid_argument(
-              "gpu: elements sharing physical_group disagree on geometry");
-        }
+    for (const SmGroup& group : sm_groups_) {
+      for (std::uint32_t s = 0; s < group.segments; ++s) {
+        sm_caches_.emplace_back(geometry_of(spec_.at(group.representative)),
+                                pages_);
       }
     }
   }
-
-  if (spec_.has(Element::kL2)) {
-    const auto& l2 = spec_.at(Element::kL2);
-    const std::uint32_t segments = std::max<std::uint32_t>(l2.amount, 1);
-    for (std::uint32_t s = 0; s < segments; ++s) {
-      l2_segments_.emplace_back(geometry_of(l2));
-    }
+  l2_segments_.reserve(l2_count);
+  for (std::uint32_t s = 0; s < l2_count; ++s) {
+    l2_segments_.emplace_back(geometry_of(spec_.at(Element::kL2)), pages_);
   }
   if (spec_.has(Element::kL3)) {
-    l3_ = std::make_unique<SectoredCache>(geometry_of(spec_.at(Element::kL3)));
+    l3_ = std::make_unique<SectoredCache>(
+        geometry_of(spec_.at(Element::kL3)), pages_);
   }
-  if (spec_.has(Element::kSL1D)) {
-    const auto& sl1d = spec_.at(Element::kSL1D);
-    for (std::uint32_t logical = 0; logical < spec_.num_sms; ++logical) {
-      const std::uint32_t group =
-          spec_.physical_cu(logical) / std::max<std::uint32_t>(spec_.sl1d_group_size, 1);
-      sl1d_.try_emplace(group, geometry_of(sl1d));
-    }
+  for (const std::uint32_t group : sl1d_groups) {
+    sl1d_.try_emplace(group, geometry_of(spec_.at(Element::kSL1D)), pages_);
   }
+  dirty_.reserve(sm_caches_.size() + l2_segments_.size() + (l3_ ? 1 : 0) +
+                 sl1d_.size());
 }
 
 void Gpu::set_l2_fetch_granularity(std::uint32_t bytes) {
@@ -98,19 +126,17 @@ void Gpu::set_l2_fetch_granularity(std::uint32_t bytes) {
   // Rebuilding loses the segments' content (the real cudaDeviceSetLimit does
   // flush), but the accumulated hit/miss counters are telemetry, not cache
   // state: carry them over so a mid-discovery granularity switch does not
-  // zero the scout counter report.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> carried;
-  carried.reserve(l2_segments_.size());
-  for (const auto& segment : l2_segments_) {
-    carried.emplace_back(segment.hits(), segment.misses());
-  }
-  const std::uint32_t segments = std::max<std::uint32_t>(l2.amount, 1);
-  l2_segments_.clear();
-  for (std::uint32_t s = 0; s < segments; ++s) {
-    l2_segments_.emplace_back(geometry_of(l2));
-    if (s < carried.size()) {
-      l2_segments_.back().set_counters(carried[s].first, carried[s].second);
-    }
+  // zero the scout counter report. The rebuilt segments bring their own
+  // zero pages and start off the dirty list.
+  std::erase_if(dirty_, [this](const SectoredCache* cache) {
+    return std::any_of(
+        l2_segments_.begin(), l2_segments_.end(),
+        [cache](const SectoredCache& segment) { return &segment == cache; });
+  });
+  for (auto& segment : l2_segments_) {
+    SectoredCache rebuilt(geometry_of(l2));
+    rebuilt.set_counters(segment.hits(), segment.misses());
+    segment = std::move(rebuilt);
   }
   ++path_epoch_;  // compiled paths hold dangling L2 pointers now
 }
@@ -118,7 +144,8 @@ void Gpu::set_l2_fetch_granularity(std::uint32_t bytes) {
 Gpu Gpu::fork(std::uint64_t noise_seed) const {
   // spec_ carries every runtime mutation (set_l2_fetch_granularity rewrites
   // the L2 sector size in place), so reconstructing from it reproduces the
-  // current configuration with pristine cache contents.
+  // current configuration with pristine cache contents. Construction maps
+  // the way state but writes none of it.
   Gpu replica(spec_, noise_seed, mig_, noise_.params());
   replica.heap_top_ = heap_top_;
   return replica;
@@ -278,6 +305,7 @@ std::uint64_t Gpu::run_pass(const AccessPath& path, std::uint64_t base,
     throw std::logic_error(
         "gpu: stale AccessPath (caches were rebuilt after compile_path)");
   }
+  enlist(path);
   // Recorded loads are a prefix of the pass; split there so the bulk loop
   // carries no record bookkeeping.
   std::uint64_t recorded = 0;
@@ -309,6 +337,7 @@ std::uint64_t Gpu::run_warm_pass(const AccessPath& path, std::uint64_t base,
     throw std::logic_error(
         "gpu: stale AccessPath (caches were rebuilt after compile_path)");
   }
+  enlist(path);
   std::uint64_t total_cycles = 0;
   for (std::uint64_t i = 0; i < steps; ++i) {
     const std::uint64_t address = base + i * stride_bytes;
@@ -365,9 +394,33 @@ void Gpu::restore_path(const AccessPath& path, const PathSnapshot& snap) {
       snap.depth != path.depth) {
     throw std::logic_error("gpu: restore of a stale PathSnapshot");
   }
+  enlist(path);
   for (std::size_t level = 0; level < path.depth; ++level) {
     path.levels[level].cache->restore(snap.levels[level]);
   }
+}
+
+void Gpu::enlist(const AccessPath& path) {
+  for (std::size_t level = 0; level < path.depth; ++level) {
+    SectoredCache* cache = path.levels[level].cache;
+    if (cache->enlist()) dirty_.push_back(cache);
+  }
+}
+
+const Gpu::SmGroup* Gpu::sm_group(Element element) const {
+  const std::uint32_t physical_group = spec_.at(element).physical_group;
+  for (const SmGroup& group : sm_groups_) {
+    if (group.physical_group == physical_group) return &group;
+  }
+  return nullptr;
+}
+
+std::span<const SectoredCache> Gpu::sm_segments(std::uint32_t sm,
+                                                Element element) const {
+  const SmGroup* group = sm < spec_.num_sms ? sm_group(element) : nullptr;
+  if (group == nullptr) return {};
+  return {sm_caches_.data() + std::size_t{sm} * sm_slots_ + group->first,
+          group->segments};
 }
 
 SectoredCache* Gpu::segment_for(const Placement& where, Element element) {
@@ -384,23 +437,17 @@ SectoredCache* Gpu::segment_for(const Placement& where, Element element) {
     const auto it = sl1d_.find(group);
     return it == sl1d_.end() ? nullptr : &it->second;
   }
-  if (where.sm >= sm_caches_.size()) {
+  if (where.sm >= spec_.num_sms) {
     throw std::out_of_range("gpu: SM index out of range");
   }
-  const auto it = sm_caches_[where.sm].find(spec_.at(element).physical_group);
-  if (it == sm_caches_[where.sm].end()) return nullptr;
-  auto& segments = it->second.segments;
+  const SmGroup* group = sm_group(element);
+  if (group == nullptr) return nullptr;
   // Cores are partitioned across segments in contiguous blocks.
   const std::uint32_t cores = std::max<std::uint32_t>(spec_.cores_per_sm, 1);
   const std::size_t index = std::min<std::size_t>(
-      static_cast<std::size_t>(where.core) * segments.size() / cores,
-      segments.size() - 1);
-  return &segments[index];
-}
-
-const SectoredCache* Gpu::find_cache(const Placement& where,
-                                     Element element) const {
-  return const_cast<Gpu*>(this)->segment_for(where, element);
+      static_cast<std::size_t>(where.core) * group->segments / cores,
+      group->segments - 1);
+  return &sm_caches_[std::size_t{where.sm} * sm_slots_ + group->first + index];
 }
 
 double Gpu::level_latency(Element element) const {
@@ -435,14 +482,8 @@ std::uint32_t Gpu::access(const Placement& where, Space space,
 }
 
 void Gpu::flush_caches() {
-  for (auto& sm : sm_caches_) {
-    for (auto& [group, cache] : sm) {
-      for (auto& segment : cache.segments) segment.flush();
-    }
-  }
-  for (auto& segment : l2_segments_) segment.flush();
-  if (l3_) l3_->flush();
-  for (auto& [group, cache] : sl1d_) cache.flush();
+  for (SectoredCache* cache : dirty_) cache->flush();
+  dirty_.clear();
 }
 
 std::uint64_t Gpu::miss_count(std::uint32_t sm, Element element) const {
@@ -459,10 +500,9 @@ std::uint64_t Gpu::miss_count(std::uint32_t sm, Element element) const {
     for (const auto& [group, cache] : sl1d_) total += cache.misses();
     return total;
   }
-  if (sm >= sm_caches_.size()) return 0;
-  const auto it = sm_caches_[sm].find(spec_.at(element).physical_group);
-  if (it == sm_caches_[sm].end()) return 0;
-  for (const auto& segment : it->second.segments) total += segment.misses();
+  for (const auto& segment : sm_segments(sm, element)) {
+    total += segment.misses();
+  }
   return total;
 }
 
@@ -480,19 +520,14 @@ std::uint64_t Gpu::hit_count(std::uint32_t sm, Element element) const {
     return total;
   }
   if (element == Element::kDeviceMem) return 0;
-  if (sm >= sm_caches_.size()) return 0;
-  const auto it = sm_caches_[sm].find(spec_.at(element).physical_group);
-  if (it == sm_caches_[sm].end()) return 0;
-  for (const auto& segment : it->second.segments) total += segment.hits();
+  for (const auto& segment : sm_segments(sm, element)) {
+    total += segment.hits();
+  }
   return total;
 }
 
 void Gpu::reset_counters() {
-  for (auto& sm : sm_caches_) {
-    for (auto& [group, cache] : sm) {
-      for (auto& segment : cache.segments) segment.reset_counters();
-    }
-  }
+  for (auto& cache : sm_caches_) cache.reset_counters();
   for (auto& segment : l2_segments_) segment.reset_counters();
   if (l3_) l3_->reset_counters();
   for (auto& [group, cache] : sl1d_) cache.reset_counters();

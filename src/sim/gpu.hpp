@@ -9,6 +9,12 @@
 // go through Gpu::access(); the runtime's p-chase kernels execute whole
 // passes through a compiled AccessPath via Gpu::run_pass(), which resolves
 // the chain once and then runs allocation-free.
+//
+// Way state of every cache is carved from one zero-page mapping per Gpu, so
+// construction and fork() write none of it and a replica's resident memory
+// is the pages its chases touch. A dirty list of the caches that passes or
+// restores may have touched since the last flush keeps flush_caches() in
+// proportion to that work too.
 #pragma once
 
 #include <array>
@@ -16,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/cache.hpp"
@@ -89,6 +96,13 @@ class Gpu {
                std::optional<MigProfile> mig = std::nullopt,
                const NoiseParams& noise = {});
 
+  // Move-only: the dirty list and compiled paths point into this Gpu's own
+  // caches, which a move carries along but a copy would not.
+  Gpu(Gpu&&) = default;
+  Gpu& operator=(Gpu&&) = default;
+  Gpu(const Gpu&) = delete;
+  Gpu& operator=(const Gpu&) = delete;
+
   /// cudaDeviceSetLimit analogue: newer NVIDIA L2 caches have a configurable
   /// fetch granularity (paper Sec. IV-D). Rebuilds the L2 partitions with the
   /// new sector size (must divide the L2 line size); their content is lost
@@ -113,6 +127,8 @@ class Gpu {
   /// parameters and the same allocator state — addresses handed out by this
   /// Gpu are valid in the replica — but cold caches, zeroed counters and a
   /// noise stream seeded with @p noise_seed. Forking never mutates *this.
+  /// It costs bookkeeping only: the replica's way state is untouched zero
+  /// pages until its chases touch them.
   Gpu fork(std::uint64_t noise_seed) const;
 
   /// Restarts the noise stream as if the Gpu had been constructed with
@@ -209,7 +225,9 @@ class Gpu {
   /// Throws std::logic_error on a path-epoch mismatch.
   void restore_path(const AccessPath& path, const PathSnapshot& snap);
 
-  /// Drops the content of all modelled caches.
+  /// Drops the content of all modelled caches. Only the caches on the dirty
+  /// list — those a pass or restore reached since the last flush — hold
+  /// content, so only they are flushed.
   void flush_caches();
 
   /// Cumulative sector misses observed by a cache element on SM @p sm
@@ -224,16 +242,23 @@ class Gpu {
   NoiseModel& noise() { return noise_; }
 
  private:
-  struct PhysicalCache {
-    Element representative;  ///< element whose geometry/latency built it
-    std::vector<SectoredCache> segments;
+  /// One physical per-SM cache: the elements of one physical_group, with
+  /// `segments` instances ("amount" layouts). Every SM has the same layout.
+  struct SmGroup {
+    std::uint32_t physical_group = 0;
+    Element representative = Element::kL1;  ///< element whose geometry built it
+    std::uint32_t first = 0;  ///< slot of segment 0 within an SM's block
+    std::uint32_t segments = 1;
   };
 
-  // Per-SM physical caches: sm -> physical_group -> cache (with segments).
-  using SmCaches = std::map<std::uint32_t, PhysicalCache>;
-
-  const SectoredCache* find_cache(const Placement& where, Element element) const;
+  const SmGroup* sm_group(Element element) const;
+  /// The segments of @p element's per-SM cache on @p sm; empty if none.
+  std::span<const SectoredCache> sm_segments(std::uint32_t sm,
+                                             Element element) const;
   SectoredCache* segment_for(const Placement& where, Element element);
+  /// Puts every cache on @p path on the dirty list (allocation-free: the
+  /// list is reserved for every cache at construction).
+  void enlist(const AccessPath& path);
   double level_latency(Element element) const;
   std::uint32_t rounded_latency(Element element) const;
 
@@ -241,10 +266,15 @@ class Gpu {
   std::optional<MigProfile> mig_;
   std::uint64_t seed_ = 0;
   NoiseModel noise_;
-  std::vector<SmCaches> sm_caches_;            // indexed by SM
+  ZeroPages pages_;  // way state of every cache below (L2 rebuilds excepted)
+  // Caches are heap-held so that pointers to them survive moving the Gpu.
+  std::vector<SmGroup> sm_groups_;
+  std::uint32_t sm_slots_ = 0;                 // per-SM caches per SM
+  std::vector<SectoredCache> sm_caches_;       // [sm * sm_slots_ + slot]
   std::vector<SectoredCache> l2_segments_;     // GPU level
   std::unique_ptr<SectoredCache> l3_;          // AMD CDNA3
   std::map<std::uint32_t, SectoredCache> sl1d_;  // keyed by physical CU group
+  std::vector<SectoredCache*> dirty_;          // see flush_caches()
   std::uint64_t heap_top_ = 4096;              // never hand out address 0
   std::uint64_t dmem_accesses_ = 0;
   std::uint64_t path_epoch_ = 0;               // invalidates compiled paths

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+#include <utility>
+
 #include "common/units.hpp"
 #include "sim/registry.hpp"
 
@@ -193,6 +196,23 @@ TEST(GpuSim, FlushRestoresColdState) {
   gpu.access({0, 0}, Space::kGlobal, addr);
   gpu.flush_caches();
   EXPECT_EQ(gpu.access_traced({0, 0}, Space::kGlobal, addr).served_by,
+            Element::kDeviceMem);
+}
+
+// The dirty list points into the Gpu's own caches: a copy would flush the
+// original's caches, so Gpu is move-only.
+static_assert(!std::is_copy_constructible_v<Gpu>);
+static_assert(!std::is_copy_assignable_v<Gpu>);
+
+TEST(GpuSim, MovedGpuKeepsStateAndFlushes) {
+  Gpu gpu = make_test_nv();
+  const auto addr = gpu.alloc(256);
+  gpu.access({0, 0}, Space::kGlobal, addr);
+  Gpu moved = std::move(gpu);
+  EXPECT_EQ(moved.access_traced({0, 0}, Space::kGlobal, addr).served_by,
+            Element::kL1);
+  moved.flush_caches();
+  EXPECT_EQ(moved.access_traced({0, 0}, Space::kGlobal, addr).served_by,
             Element::kDeviceMem);
 }
 
