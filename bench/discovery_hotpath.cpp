@@ -11,7 +11,10 @@
 // speedup available from benchmark-level concurrency alone), and the host
 // description — so the next algorithmic target stays visible and the
 // parallel-speedup column is interpretable (a single-core container
-// measures ~1.0 by construction).
+// measures ~1.0 by construction). The cpu/wall column (process CPU seconds
+// over wall seconds of the parallel discovery) tells a pool whose threads
+// park apart from one that works: the former reads ~1.0 at any thread
+// count.
 //
 // Usage:
 //   discovery_hotpath                        # full registry
@@ -44,6 +47,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/resource.h>
+
 #include "common/json.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
@@ -61,6 +66,9 @@ struct ModelResult {
   std::string model;
   double serial_s = 0.0;     ///< compiled engine, all thread knobs = 1
   double parallel_s = 0.0;   ///< compiled engine, bench/sweep_threads = M/N
+  /// Process CPU seconds spent during the parallel discovery: cpu/wall near
+  /// 1 at several threads means the pool's threads parked instead of working.
+  double parallel_cpu_s = 0.0;
   double reference_s = 0.0;  ///< reference engine, all thread knobs = 1
   bool identical = false;    ///< all measured engines agree byte-for-byte
   std::uint32_t widenings = 0;
@@ -80,6 +88,9 @@ struct ModelResult {
                                      bandwidth_cycles + compute_cycles;
     return total_cycles > attributed ? total_cycles - attributed : 0;
   }
+  double cpu_per_wall() const {
+    return parallel_s > 0 ? parallel_cpu_s / parallel_s : 0.0;
+  }
   /// Speedup available from benchmark-level concurrency alone (the stage
   /// graph's serial-to-critical-path cycle ratio).
   double available_speedup() const {
@@ -90,19 +101,33 @@ struct ModelResult {
   }
 };
 
+/// User + system CPU seconds of the whole process so far (every thread).
+double process_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
 std::string timed_discovery(const std::string& model,
                             runtime::PChaseEngine engine,
                             std::uint32_t bench_threads,
                             std::uint32_t sweep_threads, double& seconds,
-                            core::TopologyReport* out_report = nullptr) {
+                            core::TopologyReport* out_report = nullptr,
+                            double* cpu_seconds = nullptr) {
   fleet::DiscoveryJob job;
   job.model = model;
   job.options.bench_threads = bench_threads;
   job.options.sweep_threads = sweep_threads;
   runtime::ScopedPChaseEngine scope(engine);
+  const double cpu_start = process_cpu_seconds();
   const auto start = Clock::now();
   core::TopologyReport report = fleet::run_job(job);
   seconds = std::chrono::duration<double>(Clock::now() - start).count();
+  if (cpu_seconds) *cpu_seconds = process_cpu_seconds() - cpu_start;
   std::string json = core::to_json_string(report);
   if (out_report) *out_report = std::move(report);
   return json;
@@ -236,8 +261,8 @@ int main(int argc, char** argv) {
 
   std::vector<ModelResult> results;
   TablePrinter table({"model", "serial [s]", "parallel [s]", "par x",
-                      "avail x", "reference [s]", "identical", "widen",
-                      "sweep %", "line %", "memo"});
+                      "cpu/wall", "avail x", "reference [s]", "identical",
+                      "widen", "sweep %", "line %", "memo"});
   bool all_identical = true;
   double total_serial = 0.0;
   std::map<std::string, StageAggregate> stages;
@@ -248,9 +273,9 @@ int main(int argc, char** argv) {
     core::TopologyReport report;
     const std::string serial = timed_discovery(
         model, runtime::PChaseEngine::kCompiled, 1, 1, r.serial_s, &report);
-    const std::string parallel =
-        timed_discovery(model, runtime::PChaseEngine::kCompiled, bench_threads,
-                        sweep_threads, r.parallel_s);
+    const std::string parallel = timed_discovery(
+        model, runtime::PChaseEngine::kCompiled, bench_threads, sweep_threads,
+        r.parallel_s, nullptr, &r.parallel_cpu_s);
     r.identical = serial == parallel;
     if (!skip_reference) {
       const std::string reference = timed_discovery(
@@ -277,12 +302,13 @@ int main(int argc, char** argv) {
     total_serial += r.serial_s;
     results.push_back(r);
 
-    char serial_s[32], parallel_s[32], speedup[32], avail[16], reference_s[32],
-        widen[16], sweep_pct[16], line_pct[16], memo[16];
+    char serial_s[32], parallel_s[32], speedup[32], cpu_wall[16], avail[16],
+        reference_s[32], widen[16], sweep_pct[16], line_pct[16], memo[16];
     std::snprintf(serial_s, sizeof serial_s, "%.3f", r.serial_s);
     std::snprintf(parallel_s, sizeof parallel_s, "%.3f", r.parallel_s);
     std::snprintf(speedup, sizeof speedup, "%.2f",
                   r.parallel_s > 0 ? r.serial_s / r.parallel_s : 0.0);
+    std::snprintf(cpu_wall, sizeof cpu_wall, "%.2f", r.cpu_per_wall());
     std::snprintf(avail, sizeof avail, "%.2f", r.available_speedup());
     std::snprintf(reference_s, sizeof reference_s, "%.3f", r.reference_s);
     std::snprintf(widen, sizeof widen, "%u", r.widenings);
@@ -292,7 +318,7 @@ int main(int argc, char** argv) {
                   cycle_pct(r.line_size_cycles, r.total_cycles));
     std::snprintf(memo, sizeof memo, "%llu",
                   static_cast<unsigned long long>(r.memo_hits));
-    table.add_row({model, serial_s, parallel_s, speedup, avail,
+    table.add_row({model, serial_s, parallel_s, speedup, cpu_wall, avail,
                    skip_reference ? "-" : reference_s,
                    r.identical ? "yes" : "NO", widen, sweep_pct, line_pct,
                    memo});
@@ -356,6 +382,7 @@ int main(int argc, char** argv) {
     entry.emplace_back("parallel_seconds", r.parallel_s);
     entry.emplace_back(
         "parallel_speedup", r.parallel_s > 0 ? r.serial_s / r.parallel_s : 0.0);
+    entry.emplace_back("parallel_cpu_per_wall", r.cpu_per_wall());
     if (!skip_reference) {
       entry.emplace_back("reference_seconds", r.reference_s);
     }

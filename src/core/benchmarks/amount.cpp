@@ -82,7 +82,8 @@ L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
                                          std::uint32_t fetch_granularity,
                                          sim::Placement where,
                                          std::uint32_t sweep_threads,
-                                         runtime::ReplicaPool* chase_pool) {
+                                         runtime::ReplicaPool* chase_pool,
+                                         exec::Executor* sweep_executor) {
   if (api_total_bytes == 0) {
     throw std::invalid_argument("l2 segment benchmark: missing API size");
   }
@@ -94,6 +95,7 @@ L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
   size_options.stride = fetch_granularity;
   size_options.sweep_threads = sweep_threads;
   size_options.chase_pool = chase_pool;
+  size_options.sweep_executor = sweep_executor;
   size_options.where = where;
   const auto size_result = run_size_benchmark(gpu, size_options);
   out.cycles = size_result.cycles;

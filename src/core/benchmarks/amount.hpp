@@ -72,12 +72,16 @@ struct L2SegmentResult {
 ///        (see SizeBenchOptions::sweep_threads); 1 = serial reference.
 /// @param chase_pool shared replica + chase-memo cache for the inner size
 ///        benchmark; nullptr = benchmark-local.
+/// @param sweep_executor executor of the inner sweep (see
+///        SizeBenchOptions::sweep_executor); nullptr = shared_executor().
 L2SegmentResult run_l2_segment_benchmark(sim::Gpu& gpu,
                                          std::uint64_t api_total_bytes,
                                          std::uint32_t fetch_granularity,
                                          sim::Placement where = {},
                                          std::uint32_t sweep_threads = 1,
                                          runtime::ReplicaPool* chase_pool =
+                                             nullptr,
+                                         exec::Executor* sweep_executor =
                                              nullptr);
 
 }  // namespace mt4g::core

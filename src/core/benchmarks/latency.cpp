@@ -41,6 +41,7 @@ LatencyBenchResult run_latency_benchmark(sim::Gpu& gpu,
   }
   runtime::ChaseBatchOptions batch;
   batch.threads = options.threads;
+  batch.executor = options.executor;
   batch.pool = options.chase_pool;
   const auto results = runtime::run_chase_batch(gpu, specs, batch);
 

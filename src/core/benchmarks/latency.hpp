@@ -14,6 +14,10 @@
 #include "sim/gpu.hpp"
 #include "stats/descriptive.hpp"
 
+namespace mt4g::exec {
+class Executor;
+}
+
 namespace mt4g::runtime {
 struct ReplicaPool;
 }
@@ -41,6 +45,8 @@ struct LatencyBenchOptions {
   /// Parallelism of the resample chases (caller included); 1 = serial
   /// reference. Both produce byte-identical results.
   std::uint32_t threads = 1;
+  /// Executor for threads > 1; nullptr = exec::shared_executor().
+  exec::Executor* executor = nullptr;
   /// Shared replica + chase-memo cache (see SizeBenchOptions::chase_pool).
   /// The chases run through the chase-plan engine either way — each on a
   /// reset replica with a (seed, spec) noise stream — so the measurement is

@@ -9,6 +9,16 @@
 #include "runtime/device.hpp"
 
 namespace mt4g::core {
+namespace {
+
+/// The executor a discovery runs on (resolved lazily: a serial discovery
+/// never creates the shared pool).
+const exec::Executor& executor_of(const DiscoverOptions& options) {
+  return options.bench_executor ? *options.bench_executor
+                                : exec::shared_executor();
+}
+
+}  // namespace
 
 bool DiscoverOptions::wants(sim::Element element) const {
   return only.empty() ||
@@ -17,8 +27,8 @@ bool DiscoverOptions::wants(sim::Element element) const {
 
 TopologyReport discover(sim::Gpu& gpu, const DiscoverOptions& options) {
   const obs::SpanGuard span("discovery:", gpu.spec().name);
-  // Per-discovery metric attribution: snapshot the registry (and the shared
-  // executor's counters) before the run, diff after. Only an opt-in
+  // Per-discovery metric attribution: snapshot the registry (and the
+  // discovery executor's counters) before the run, diff after. Only an opt-in
   // observability run pays for this — and only then does meta.wall appear in
   // the report, keeping default output byte-identical.
   const bool attribute = obs::metrics_enabled();
@@ -27,7 +37,7 @@ TopologyReport discover(sim::Gpu& gpu, const DiscoverOptions& options) {
   std::uint64_t start_ns = 0;
   if (attribute) {
     before = obs::Metrics::instance().snapshot();
-    exec_before = exec::shared_executor().stats();
+    exec_before = executor_of(options).stats();
     start_ns = obs::monotonic_ns();
   }
 
@@ -72,7 +82,7 @@ TopologyReport discover(sim::Gpu& gpu, const DiscoverOptions& options) {
 
   if (attribute) {
     obs::Metrics& metrics = obs::Metrics::instance();
-    const exec::ExecutorStats exec_after = exec::shared_executor().stats();
+    const exec::ExecutorStats exec_after = executor_of(options).stats();
     metrics.add("exec.tasks",
                 static_cast<double>(exec_after.tasks - exec_before.tasks));
     metrics.set("exec.worker_busy_fraction", exec_after.worker_busy_fraction);

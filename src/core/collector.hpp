@@ -34,13 +34,17 @@ struct DiscoverOptions {
   std::uint32_t record_count = 512;
   /// Parallelism of the batched chase plans (caller included) inside one
   /// benchmark — the size sweeps and the fg/line-size/amount/sharing
-  /// batches — fanned over the shared executor (src/exec/); 1 = the serial
-  /// reference engine.
+  /// batches — fanned over the discovery's executor (bench_executor); 1 =
+  /// the serial reference engine.
   std::uint32_t sweep_threads = 1;
-  /// Parallelism across benchmarks (caller included): how many ready stages
-  /// of the discovery stage graph run concurrently; 1 = serial declaration
-  /// order. Independent elements (L1 vs texture vs scratchpad vs L2) stop
-  /// waiting on each other at values > 1.
+  /// Parallelism across benchmarks (caller included): the cap on how many
+  /// stages of one ready set — the graph's roots, or the stages one
+  /// finished stage made ready — start concurrently; 1 = serial declaration
+  /// order. It is a cap per ready set, not a global cap: stages launched
+  /// from different sets may overlap beyond it, and threads a ready set
+  /// does not need help with the running stages' chase batches instead.
+  /// Independent elements (L1 vs texture vs scratchpad vs L2) stop waiting
+  /// on each other at values > 1.
   ///
   /// Like sweep_threads, this is purely an execution knob: the report is
   /// byte-identical for every bench_threads x sweep_threads combination —
@@ -56,9 +60,10 @@ struct DiscoverOptions {
   /// so it is not part of fleet::DiscoveryJob::key(). Off means each warm
   /// chain runs as one serial unit.
   bool subsweep_chunking = true;
-  /// Executor for bench_threads > 1; nullptr = exec::shared_executor().
-  /// Tests inject a dedicated pool to force real stage interleaving
-  /// regardless of the host's core count.
+  /// The one executor of this discovery: it runs the stages (bench_threads
+  /// > 1) and every stage's chase batches (sweep_threads > 1); nullptr =
+  /// exec::shared_executor(). Tests inject a dedicated pool to force real
+  /// stage and chase interleaving regardless of the host's core count.
   exec::Executor* bench_executor = nullptr;
   /// Cooperative wall-clock budget, checked before every stage of the graph
   /// (see core/cancel.hpp); expiry raises TimeoutError out of discover().

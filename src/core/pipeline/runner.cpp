@@ -1,10 +1,9 @@
 #include "core/pipeline/runner.hpp"
 
 #include <algorithm>
-#include <condition_variable>
+#include <atomic>
 #include <exception>
-#include <mutex>
-#include <set>
+#include <functional>
 
 #include "common/fault.hpp"
 #include "exec/executor.hpp"
@@ -32,7 +31,9 @@ struct GraphRun {
   const DiscoverOptions& options;
   std::vector<StageRecord> records;
   std::vector<std::exception_ptr> errors;
-  std::vector<bool> failed;  ///< threw, or transitively depends on a throw
+  /// Threw, or transitively depends on a throw. Atomic because under
+  /// bench_threads > 1 the dependencies of one stage finish concurrently.
+  std::vector<std::atomic<bool>> failed;
   /// Forked Gpus recycled across stages (substrates + chase replicas): a
   /// fork rebuilds every cache object and re-faults every page its chases
   /// touch, which recycling skips.
@@ -42,7 +43,7 @@ struct GraphRun {
                     GraphState& state_, const DiscoverOptions& options_)
       : gpu(gpu_), graph(graph_), state(state_), options(options_),
         records(graph_.stages.size()), errors(graph_.stages.size()),
-        failed(graph_.stages.size(), false) {}
+        failed(graph_.stages.size()) {}
 
   /// Executes one stage on a reset substrate: a (recycled) fork of the
   /// owning Gpu, flushed, re-seeded with the owner's seed and rewound to
@@ -116,58 +117,57 @@ void run_serial(GraphRun& run, const std::vector<std::vector<std::size_t>>& deps
   }
 }
 
-/// Dependency-aware worker-pool scheduling: workers pull the ready stage
-/// with the lowest declaration index. Waiting workers are parked on a
-/// condition variable; stage completion wakes them. Progress is guaranteed
-/// even on a pool-less executor (parallel_for then runs the first worker
-/// loop inline on the caller, which drains the whole graph serially).
+/// Launch-on-ready scheduling: the roots run as one parallel_for, and the
+/// thread that completes a stage's last dependency launches the stages it
+/// made ready as a nested parallel_for (lowest declaration index claimed
+/// first). No participant ever waits for a stage to become ready, so a
+/// thread without a stage returns to the executor and joins the running
+/// stages' chase batches. Every stage's run nests inside the roots' batch,
+/// so that one join orders all records and errors before run_graph reads
+/// them.
 void run_concurrent(GraphRun& run,
                     const std::vector<std::vector<std::size_t>>& deps,
                     std::uint32_t bench_threads, exec::Executor& executor) {
   const std::size_t n = run.graph.stages.size();
-  std::vector<std::size_t> remaining(n);
+  std::vector<std::atomic<std::size_t>> remaining(n);
   std::vector<std::vector<std::size_t>> dependents(n);
-  std::mutex mutex;
-  std::condition_variable wake;
-  std::set<std::size_t> ready;
-  std::size_t unfinished = n;
+  std::vector<std::size_t> roots;
   for (std::size_t i = 0; i < n; ++i) {
-    remaining[i] = deps[i].size();
+    remaining[i].store(deps[i].size(), std::memory_order_relaxed);
     for (const std::size_t d : deps[i]) dependents[d].push_back(i);
-    if (remaining[i] == 0) ready.insert(i);
+    if (deps[i].empty()) roots.push_back(i);
   }
 
-  const auto worker = [&](std::size_t, std::uint32_t) {
-    std::unique_lock<std::mutex> lock(mutex);
-    for (;;) {
-      wake.wait(lock, [&] { return !ready.empty() || unfinished == 0; });
-      if (ready.empty()) return;  // drained
-      const std::size_t i = *ready.begin();
-      ready.erase(ready.begin());
-      bool ok = !run.failed[i];
-      if (ok) {
-        lock.unlock();
-        try {
-          run.run_stage(i);
-        } catch (...) {
-          run.errors[i] = std::current_exception();
-          ok = false;
-        }
-        lock.lock();
-        if (!ok) run.failed[i] = true;
+  std::function<void(const std::vector<std::size_t>&)> launch;
+  // Runs (or skips) stage i, then launches the dependents it completed.
+  // Skip flags are written before the releasing decrement, so the thread
+  // that completes a dependent's last dependency sees every upstream
+  // failure.
+  const auto finish = [&](std::size_t i) {
+    bool ok = !run.failed[i].load(std::memory_order_relaxed);
+    if (ok) {
+      try {
+        run.run_stage(i);
+      } catch (...) {
+        run.errors[i] = std::current_exception();
+        ok = false;
       }
-      for (const std::size_t dependent : dependents[i]) {
-        if (!ok) run.failed[dependent] = true;
-        if (--remaining[dependent] == 0) ready.insert(dependent);
-      }
-      --unfinished;
-      wake.notify_all();
     }
+    std::vector<std::size_t> ready;
+    for (const std::size_t dependent : dependents[i]) {
+      if (!ok) run.failed[dependent].store(true, std::memory_order_relaxed);
+      if (remaining[dependent].fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        ready.push_back(dependent);
+      }
+    }
+    if (!ready.empty()) launch(ready);
   };
-
-  const auto workers = static_cast<std::uint32_t>(
-      std::min<std::size_t>(bench_threads, std::max<std::size_t>(n, 1)));
-  executor.parallel_for(workers, workers, worker);
+  launch = [&](const std::vector<std::size_t>& ready) {
+    executor.parallel_for(
+        ready.size(), bench_threads,
+        [&](std::size_t k, std::uint32_t) { finish(ready[k]); });
+  };
+  launch(roots);
 }
 
 }  // namespace

@@ -3,13 +3,17 @@
 //
 // Scheduling model: with bench_threads <= 1 the stages run serially in
 // deterministic topological order (smallest declaration index first). With
-// bench_threads > 1, min(bench_threads, stage count) workers — the calling
-// thread included — pull ready stages (all dependencies completed, lowest
-// declaration index first) from a shared queue on the process-wide executor
-// (src/exec/). Nested parallelism composes: a stage's own chase batches
-// (sweep_threads) fan over the same pool, and a fleet sweep fans whole
-// graphs of different GPUs over it, so one executor interleaves stages
-// across benchmarks and across GPUs.
+// bench_threads > 1 the stages run on the discovery's executor
+// (DiscoverOptions::bench_executor, else the process-wide one; src/exec/)
+// by launch-on-ready: the root stages run as one parallel_for capped at
+// bench_threads, and the thread that finishes a stage's last dependency
+// launches the stages that became ready as a nested parallel_for, again
+// capped at bench_threads. No thread waits for a stage to become ready, so
+// a thread with no stage to run goes back to the executor, and the
+// executor's helping join sends it into the running stages' chase batches
+// (sweep_threads). A stage's chase batches, the discovery's stages and a
+// fleet sweep's whole jobs therefore share one pool without parking any of
+// its threads.
 //
 // Determinism: the report is byte-identical for every bench_threads x
 // sweep_threads combination (see stage.hpp for the three rules). Failure

@@ -25,6 +25,7 @@ FgBenchOptions make_fg_options(StageContext& ctx, const Target& target) {
   options.target = target;
   options.record_count = ctx.options.record_count;
   options.threads = ctx.options.sweep_threads;
+  options.executor = ctx.options.bench_executor;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -39,6 +40,7 @@ SizeBenchOptions make_size_options(StageContext& ctx, const Target& target,
   options.stride = stride;
   options.record_count = ctx.options.record_count;
   options.sweep_threads = ctx.options.sweep_threads;
+  options.sweep_executor = ctx.options.bench_executor;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -54,6 +56,7 @@ LatencyBenchOptions make_latency_options(StageContext& ctx,
   options.min_array_bytes = min_array_bytes;
   options.cache_bytes = cache_bytes;
   options.threads = ctx.options.sweep_threads;
+  options.executor = ctx.options.bench_executor;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -66,6 +69,7 @@ LineSizeBenchOptions make_line_options(StageContext& ctx, const Target& target,
   options.cache_bytes = cache_bytes;
   options.fetch_granularity = fetch_granularity;
   options.threads = ctx.options.sweep_threads;
+  options.executor = ctx.options.bench_executor;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }
@@ -79,6 +83,7 @@ AmountBenchOptions make_amount_options(StageContext& ctx, const Target& target,
   options.stride = stride;
   options.record_count = ctx.options.record_count;
   options.threads = ctx.options.sweep_threads;
+  options.executor = ctx.options.bench_executor;
   options.chase_pool = &ctx.chase_pool;
   return options;
 }

@@ -170,7 +170,8 @@ void add_l2_stages(DiscoveryPlan& plan, const runtime::DeviceProp& prop) {
        [api_total](StageContext& ctx) {
          const auto segment = run_l2_segment_benchmark(
              ctx.gpu, api_total, ctx.state.of(Element::kL2).fg, {},
-             ctx.options.sweep_threads, &ctx.chase_pool);
+             ctx.options.sweep_threads, &ctx.chase_pool,
+             ctx.options.bench_executor);
          ctx.book(segment.cycles);
          ctx.book_sweep(segment.widenings, segment.sweep_cycles);
          MemoryElementReport& row = ctx.state.row(Element::kL2);
@@ -279,6 +280,7 @@ DiscoveryPlan nvidia_stages(sim::Gpu& gpu, const DiscoverOptions& options) {
                   element == Element::kConstL1 ? kConstantArrayLimit : 0});
            }
            options.threads = ctx.options.sweep_threads;
+           options.executor = ctx.options.bench_executor;
            options.chase_pool = &ctx.chase_pool;
            if (options.entries.size() < 2) return;
            const auto sharing = run_sharing_benchmark(ctx.gpu, options);

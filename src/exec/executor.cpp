@@ -51,31 +51,39 @@ struct Counters {
 struct Batch {
   std::size_t count = 0;
   const IndexedTask* task = nullptr;
-  std::uint32_t max_joiners = 0;  ///< pool threads allowed (caller excluded)
+  /// Participants allowed besides the caller (pool threads and helping
+  /// callers alike), which keeps slot values below max_workers.
+  std::uint32_t max_joiners = 0;
   Counters* counters = nullptr;
-  std::uint64_t enqueue_ns = 0;  ///< submission time (pooled batches only)
+  // Pooled batches only: submission time and order, and the executor lock
+  // and condition variable a waiting caller sleeps on.
+  std::uint64_t enqueue_ns = 0;
+  std::uint64_t seq = 0;
+  std::mutex* join_mutex = nullptr;
+  std::condition_variable* join_cv = nullptr;
 
   std::atomic<std::size_t> next{0};   ///< index claim cursor
   std::atomic<std::size_t> done{0};   ///< finished tasks
-  std::uint32_t joiners = 0;          ///< pool threads that joined (queue lock)
+  std::uint32_t joiners = 0;          ///< participants that joined (queue lock)
   std::atomic<std::uint32_t> slots{1};  ///< slot 0 is reserved for the caller
 
   std::mutex error_mutex;
   std::exception_ptr error;
   std::size_t error_index = std::numeric_limits<std::size_t>::max();
 
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-
   bool exhausted() const {
     return next.load(std::memory_order_relaxed) >= count;
+  }
+  bool finished() const {
+    return done.load(std::memory_order_acquire) == count;
   }
 };
 
 /// Claims and executes indices until the batch is drained. Returns after the
 /// participant's last task; the batch may still have tasks in flight on
-/// other participants.
-void drain(Batch& batch, std::uint32_t slot) {
+/// other participants. @p pooled: a pool thread runs them, not a calling
+/// thread (in its own batch or helping a newer one at its join).
+void drain(Batch& batch, std::uint32_t slot, bool pooled) {
   while (true) {
     const std::size_t index =
         batch.next.fetch_add(1, std::memory_order_relaxed);
@@ -96,17 +104,20 @@ void drain(Batch& batch, std::uint32_t slot) {
     const std::uint64_t busy_ns = now_ns() - begin_ns;
     Counters& counters = *batch.counters;
     counters.tasks.fetch_add(1, std::memory_order_relaxed);
-    if (slot == 0) {
-      counters.caller_tasks.fetch_add(1, std::memory_order_relaxed);
-      counters.caller_busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
-    } else {
+    if (pooled) {
       counters.pool_tasks.fetch_add(1, std::memory_order_relaxed);
       counters.pool_busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
+    } else {
+      counters.caller_tasks.fetch_add(1, std::memory_order_relaxed);
+      counters.caller_busy_ns.fetch_add(busy_ns, std::memory_order_relaxed);
     }
     if (batch.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        batch.count) {
-      std::lock_guard<std::mutex> lock(batch.done_mutex);
-      batch.done_cv.notify_all();
+            batch.count &&
+        batch.join_cv != nullptr) {
+      // Locking orders this notify after a waiting caller's finished()
+      // check, so the wake-up cannot fall between check and wait.
+      { const std::lock_guard<std::mutex> lock(*batch.join_mutex); }
+      batch.join_cv->notify_all();
     }
   }
 }
@@ -115,29 +126,57 @@ void drain(Batch& batch, std::uint32_t slot) {
 
 struct Executor::Impl {
   std::mutex queue_mutex;
-  std::condition_variable queue_cv;
+  std::condition_variable queue_cv;  // pool threads: a batch was submitted
+  std::condition_variable join_cv;   // callers: submitted, or one finished
   std::deque<std::shared_ptr<Batch>> queue;  // batches with claimable work
+  std::uint64_t next_seq = 0;
   bool stop = false;
   std::vector<std::thread> threads;
   Counters counters;
   std::uint64_t start_ns = now_ns();
 
+  /// Joins the oldest batch submitted after sequence number @p after that
+  /// has unclaimed indices and room for one more participant. Called with
+  /// queue_mutex held; drops exhausted batches on the way.
+  std::shared_ptr<Batch> claim(std::uint64_t after) {
+    for (auto it = queue.begin(); it != queue.end();) {
+      if ((*it)->exhausted()) {
+        it = queue.erase(it);
+        continue;
+      }
+      if ((*it)->seq > after && (*it)->joiners < (*it)->max_joiners) {
+        ++(*it)->joiners;
+        return *it;
+      }
+      ++it;
+    }
+    return nullptr;
+  }
+
+  /// A caller's join: until @p own finishes, run tasks of batches submitted
+  /// after it — the nested batches its in-flight tasks issue, or newer work
+  /// of other callers — and sleep only while none is claimable. Older
+  /// batches stay off limits: one task of an outer batch (a whole fleet
+  /// job) would hold this caller away from its own join.
+  void join(const Batch& own) {
+    std::unique_lock<std::mutex> lock(queue_mutex);
+    while (!own.finished()) {
+      const std::shared_ptr<Batch> batch = claim(own.seq);
+      if (!batch) {
+        join_cv.wait(lock);
+        continue;
+      }
+      lock.unlock();
+      drain(*batch, batch->slots.fetch_add(1, std::memory_order_relaxed),
+            /*pooled=*/false);
+      lock.lock();
+    }
+  }
+
   void worker_loop() {
     std::unique_lock<std::mutex> lock(queue_mutex);
     while (true) {
-      std::shared_ptr<Batch> batch;
-      for (auto it = queue.begin(); it != queue.end();) {
-        if ((*it)->exhausted()) {
-          it = queue.erase(it);
-          continue;
-        }
-        if ((*it)->joiners < (*it)->max_joiners) {
-          batch = *it;
-          ++batch->joiners;
-          break;
-        }
-        ++it;
-      }
+      const std::shared_ptr<Batch> batch = claim(0);
       if (!batch) {
         if (stop) return;
         queue_cv.wait(lock);
@@ -151,9 +190,8 @@ struct Executor::Impl {
       counters.queue_wait_ns.fetch_add(wait_ns, std::memory_order_relaxed);
       obs::Metrics::instance().observe("exec.queue_wait_ns",
                                        static_cast<double>(wait_ns));
-      const std::uint32_t slot =
-          batch->slots.fetch_add(1, std::memory_order_relaxed);
-      drain(*batch, slot);
+      drain(*batch, batch->slots.fetch_add(1, std::memory_order_relaxed),
+            /*pooled=*/true);
       lock.lock();
     }
   }
@@ -226,22 +264,21 @@ void Executor::parallel_for(std::size_t count, std::uint32_t max_workers,
 
   if (batch->max_joiners == 0 || impl_->threads.empty()) {
     // Serial mode: inline on the caller, strict index order.
-    drain(*batch, 0);
+    drain(*batch, 0, /*pooled=*/false);
   } else {
     batch->enqueue_ns = now_ns();
+    batch->join_mutex = &impl_->queue_mutex;
+    batch->join_cv = &impl_->join_cv;
     {
       std::lock_guard<std::mutex> lock(impl_->queue_mutex);
+      batch->seq = ++impl_->next_seq;
       impl_->queue.push_back(batch);
       impl_->counters.note_queue_depth(impl_->queue.size());
     }
     impl_->queue_cv.notify_all();
-    drain(*batch, 0);
-    {
-      std::unique_lock<std::mutex> lock(batch->done_mutex);
-      batch->done_cv.wait(lock, [&] {
-        return batch->done.load(std::memory_order_acquire) == batch->count;
-      });
-    }
+    impl_->join_cv.notify_all();
+    drain(*batch, 0, /*pooled=*/false);
+    impl_->join(*batch);
     {
       std::lock_guard<std::mutex> lock(impl_->queue_mutex);
       for (auto it = impl_->queue.begin(); it != impl_->queue.end(); ++it) {

@@ -3,11 +3,23 @@
 // Both parallelism seams of the tool run through this executor: the fleet
 // scheduler fans whole discovery jobs over it, and the size-benchmark sweep
 // fans individual p-chase measurements over it (runtime::run_pchase_batch).
-// Hoisting the pool out of src/fleet/ lets the two layers nest without
-// spawning threads inside threads: parallel_for() always executes on the
-// calling thread too, so a fleet worker that reaches a nested sweep
-// parallel_for makes progress even when every pool thread is busy with outer
-// jobs — nesting can never deadlock, only degrade to serial.
+// Hoisting the pool out of src/fleet/ lets the layers nest without spawning
+// threads inside threads.
+//
+// Nesting contract:
+//   * parallel_for() always executes on the calling thread too, so a batch
+//     makes progress even when every pool thread is busy elsewhere.
+//   * A caller whose own indices are all claimed does not sleep at the join
+//     while tasks of a batch submitted after its own are still claimable:
+//     it runs them (a helping join). That is how the nested batches of its
+//     in-flight tasks get the threads the outer batch no longer needs.
+//     Batches submitted before its own are never claimed there.
+//   * A task may block only on executor joins (a nested parallel_for).
+//     Waiting for another task of the same or an outer batch — a condition
+//     variable, a latch, a "wait until some other work is ready" loop —
+//     holds the thread away from the pool, and a nested batch queued behind
+//     it then runs on fewer threads or, if its tasks need each other,
+//     never completes.
 //
 // Determinism contract: parallel_for() itself guarantees nothing about
 // execution order — tasks must write results into per-index slots and must
@@ -25,10 +37,10 @@ namespace mt4g::exec {
 
 /// One unit of a parallel_for: @p index is the work item, @p slot identifies
 /// the participant executing it (0 = the calling thread, then one id per
-/// pool thread that joined). Slots let callers keep per-participant scratch
-/// state (e.g. a Gpu replica) without locking: slot values stay below the
-/// max_workers passed to parallel_for, and no two tasks run concurrently on
-/// the same slot.
+/// pool thread or helping caller that joined). Slots let callers keep
+/// per-participant scratch state (e.g. a Gpu replica) without locking: slot
+/// values stay below the max_workers passed to parallel_for, and no two
+/// tasks run concurrently on the same slot.
 using IndexedTask = std::function<void(std::size_t index, std::uint32_t slot)>;
 
 /// Always-on lightweight instrumentation of one Executor: a handful of
@@ -41,7 +53,9 @@ struct ExecutorStats {
   std::uint64_t nested_batches = 0;  ///< submitted from inside another task
   std::uint64_t tasks = 0;           ///< tasks executed (all participants)
   std::uint64_t tasks_failed = 0;    ///< tasks that ended in an exception
-  std::uint64_t caller_tasks = 0;    ///< tasks run by calling threads (slot 0)
+  /// Tasks run by calling threads: their own batch's slot-0 share plus the
+  /// newer batches' tasks they ran while waiting at a join.
+  std::uint64_t caller_tasks = 0;
   std::uint64_t pool_tasks = 0;      ///< tasks run by pool threads
   std::uint64_t max_queue_depth = 0;  ///< deepest claimable-batch queue seen
   std::uint64_t caller_busy_ns = 0;  ///< wall time calling threads spent in tasks
@@ -76,13 +90,15 @@ class Executor {
 
   std::uint32_t pool_threads() const;
 
-  /// Runs task(0..count-1) and blocks until all of them finished. At most
-  /// @p max_workers participants execute concurrently, the caller included
-  /// (0 = caller + whole pool); max_workers <= 1 runs inline on the caller
-  /// in index order — the serial reference mode. Tasks that throw do not
-  /// abort the batch: every index still runs, and the exception of the
-  /// lowest failing index is rethrown afterwards (lowest, not first, so the
-  /// error a caller observes is independent of scheduling).
+  /// Runs task(0..count-1) and returns once all of them finished; while
+  /// other participants still run tasks, the caller helps newer batches
+  /// (see the nesting contract above). At most @p max_workers participants
+  /// execute concurrently, the caller included (0 = caller + whole pool);
+  /// max_workers <= 1 runs inline on the caller in index order — the
+  /// serial reference mode. Tasks that throw do not abort the batch: every
+  /// index still runs, and the exception of the lowest failing index is
+  /// rethrown afterwards (lowest, not first, so the error a caller observes
+  /// is independent of scheduling).
   void parallel_for(std::size_t count, std::uint32_t max_workers,
                     const IndexedTask& task);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <latch>
 #include <stdexcept>
 #include <thread>
@@ -13,6 +14,18 @@
 
 namespace mt4g::exec {
 namespace {
+
+/// Polls @p latch for up to 10 s: a rendezvous that never comes fails the
+/// test instead of hanging it.
+bool wait_bounded(std::latch& latch) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!latch.try_wait()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 TEST(Executor, RunsEveryIndexExactlyOnce) {
   Executor executor(3);
@@ -92,6 +105,70 @@ TEST(Executor, NestedParallelForMakesProgress) {
     });
   });
   EXPECT_EQ(inner_total.load(), 32);
+}
+
+TEST(Executor, WaitingCallerHelpsNewerBatch) {
+  // The outer batch's two tasks start together, so the caller and the one
+  // pool thread hold one each. The pool thread's task issues a nested batch
+  // whose two tasks must meet: the only thread left to run the second one
+  // is the caller, which has drained its own indices and waits at its join.
+  Executor executor(1);
+  const auto caller = std::this_thread::get_id();
+  std::latch outer_started(2);
+  std::latch inner_met(2);
+  std::atomic<bool> outer_met{true};
+  std::atomic<bool> inner_met_in_time{true};
+  std::atomic<bool> caller_helped{false};
+  executor.parallel_for(2, 2, [&](std::size_t, std::uint32_t slot) {
+    outer_started.count_down();
+    if (!wait_bounded(outer_started)) outer_met = false;
+    if (slot == 0) return;  // the caller's task: on to the join
+    executor.parallel_for(2, 2, [&](std::size_t, std::uint32_t) {
+      if (std::this_thread::get_id() == caller) caller_helped = true;
+      inner_met.count_down();
+      if (!wait_bounded(inner_met)) inner_met_in_time = false;
+    });
+  });
+  ASSERT_TRUE(outer_met);
+  EXPECT_TRUE(inner_met_in_time)
+      << "the waiting caller slept instead of joining the nested batch";
+  EXPECT_TRUE(caller_helped);
+}
+
+TEST(Executor, CallerLeavesOlderClaimableBatchAlone) {
+  // An older batch stays claimable: its caller and the pool thread are each
+  // blocked in one of its tasks, and a third index waits with room for one
+  // more participant. A newer batch's caller must run its own tasks and
+  // return without claiming any task of the older one.
+  Executor executor(1);
+  std::latch older_started(2);
+  std::latch release(1);
+  std::atomic<int> older_ran{0};
+  std::atomic<bool> older_released{true};
+  const auto newer_caller = std::this_thread::get_id();
+  std::atomic<bool> newer_caller_ran_older{false};
+  std::thread older_caller([&] {
+    executor.parallel_for(3, 3, [&](std::size_t i, std::uint32_t) {
+      older_ran.fetch_add(1);
+      if (std::this_thread::get_id() == newer_caller) {
+        newer_caller_ran_older = true;
+      }
+      if (i < 2) older_started.count_down();  // indices are claimed in order
+      if (!wait_bounded(release)) older_released = false;
+    });
+  });
+  EXPECT_TRUE(wait_bounded(older_started));
+  std::atomic<int> newer_ran{0};
+  executor.parallel_for(2, 2, [&](std::size_t, std::uint32_t) {
+    newer_ran.fetch_add(1);
+  });
+  EXPECT_EQ(newer_ran.load(), 2);
+  EXPECT_EQ(older_ran.load(), 2) << "the older batch's third index was taken";
+  release.count_down();
+  older_caller.join();
+  EXPECT_EQ(older_ran.load(), 3);
+  EXPECT_TRUE(older_released);
+  EXPECT_FALSE(newer_caller_ran_older);
 }
 
 TEST(ExecutorStats, CountsTasksBatchesAndQueueDepth) {

@@ -1,13 +1,17 @@
 // Stage-graph tests: registration-time validation diagnostics, --only
 // pruning with transitive dependencies, the determinism contract (reports
 // byte-identical for every bench_threads x sweep_threads combination,
-// memo-hit counts and cycle attribution included), and the critical-path
-// telemetry.
+// memo-hit counts and cycle attribution included), the critical-path
+// telemetry, and the launch-on-ready scheduling on the discovery's executor.
 #include "core/pipeline/runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <latch>
 #include <string>
+#include <thread>
 
 #include "common/units.hpp"
 #include "core/collector.hpp"
@@ -285,6 +289,60 @@ TEST(StageGraphTelemetry, FailingStageSkipsDependentsAndRethrows) {
   EXPECT_THROW(run_graph(gpu, plan, options, report), std::runtime_error);
   EXPECT_FALSE(downstream_ran);
   EXPECT_TRUE(independent_ran);
+}
+
+TEST(StageGraphScheduling, InjectedExecutorRunsChaseBatches) {
+  // DiscoverOptions::bench_executor is the discovery's one executor: the
+  // stages' chase batches run on it and never reach the shared pool. With
+  // bench_threads = 1 the stages run serially, so every batch the pool
+  // sees is a chase batch.
+  exec::Executor pool(3);
+  const exec::ExecutorStats shared_before = exec::shared_executor().stats();
+  discover_json("TestGPU-AMD", 1, 4, &pool);
+  EXPECT_GT(pool.stats().batches, 0u);
+  EXPECT_EQ(exec::shared_executor().stats().batches, shared_before.batches);
+}
+
+TEST(StageGraphScheduling, IdleStageThreadJoinsNestedBatch) {
+  // Two roots on a one-thread pool with bench_threads = 2: one stage runs on
+  // the caller, the other on the pool thread. Stage A's nested batch has two
+  // tasks that must meet, and stage B returns at once — so A's batch gets
+  // its second participant only if B's thread goes back to the executor
+  // instead of parking until another stage becomes ready.
+  exec::Executor executor(1);
+  std::latch met(2);
+  std::atomic<bool> met_in_time{true};
+  StageGraph graph;
+  graph.row_order = {Element::kL1};
+  graph.add({"A", Element::kL1, StageKind::kLatency, {}, false,
+             [&](StageContext&) {
+               executor.parallel_for(2, 2, [&](std::size_t, std::uint32_t) {
+                 met.count_down();
+                 const auto deadline = std::chrono::steady_clock::now() +
+                                       std::chrono::seconds(10);
+                 while (!met.try_wait()) {
+                   if (std::chrono::steady_clock::now() > deadline) {
+                     met_in_time = false;
+                     return;
+                   }
+                   std::this_thread::yield();
+                 }
+               });
+             }});
+  graph.add({"B", Element::kL1, StageKind::kLatency, {}, false,
+             [](StageContext&) {}});
+  DiscoveryPlan plan;
+  plan.graph = std::move(graph);
+  plan.state.element[Element::kL1];
+  plan.state.rows[Element::kL1].element = Element::kL1;
+  DiscoverOptions options;
+  options.bench_threads = 2;
+  options.bench_executor = &executor;
+  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
+  TopologyReport report;
+  run_graph(gpu, plan, options, report);
+  EXPECT_TRUE(met_in_time)
+      << "stage B's thread never joined stage A's nested batch";
 }
 
 }  // namespace
