@@ -1,5 +1,6 @@
 #include "common/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -52,13 +53,12 @@ namespace {
 std::string format_double(double v) {
   if (std::isnan(v)) return "null";
   if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
-  char buf[64];
-  // %.10g round-trips the values we emit (latencies, bandwidths, confidences)
-  // without trailing noise digits.
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  std::string s(buf);
+  // Shortest text that parses back to exactly @p v, so reports, specs and
+  // jobs survive every dump/parse cycle (files, pipes, journals) bit-exactly.
+  char buf[32];
+  std::string s(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   // Ensure a JSON reader sees a float, not an int, for double-typed fields.
-  if (s.find_first_of(".eE") == std::string::npos) s += ".0";
+  if (s.find_first_of(".e") == std::string::npos) s += ".0";
   return s;
 }
 

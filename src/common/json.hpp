@@ -67,6 +67,11 @@ class Value {
   /// indent emits the compact single-line form (no whitespace at all) — the
   /// shape line-delimited protocols (fleet worker pipes, run journals) need,
   /// where '\n' may only ever terminate a record.
+  ///
+  /// Finite doubles print as their shortest round-trip text (std::to_chars),
+  /// with ".0" appended when that text has no '.' or exponent, so parsing
+  /// the dump yields the identical bits. NaN prints as null and infinities
+  /// as ±1e999.
   std::string dump(int indent = 2) const;
 
  private:

@@ -66,7 +66,10 @@ stats::Summary parse_summary(const json::Value& object) {
 }  // namespace
 
 TopologyReport from_json_string(const std::string& text) {
-  const json::Value root = json::parse_or_throw(text);
+  return from_json(json::parse_or_throw(text));
+}
+
+TopologyReport from_json(const json::Value& root) {
   if (!root.is_object()) {
     throw std::runtime_error("report json: document is not an object");
   }

@@ -10,12 +10,17 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hpp"
 #include "core/report.hpp"
 
 namespace mt4g::core {
 
-/// Rebuilds a report from to_json()/to_json_string() output.
-/// Throws std::runtime_error on malformed or non-report JSON.
+/// Rebuilds a report from to_json() output. Throws (std::runtime_error, or
+/// std::bad_variant_access on a mistyped member) on a non-report document.
+TopologyReport from_json(const json::Value& root);
+
+/// Parses @p text and rebuilds the report from it (from_json).
+/// Throws std::runtime_error on malformed JSON or a non-report document.
 TopologyReport from_json_string(const std::string& text);
 
 /// One attribute-level difference between two reports.

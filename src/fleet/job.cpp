@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/fault.hpp"
 #include "core/cache_config.hpp"
+#include "core/cancel.hpp"
 #include "sim/gpu.hpp"
 #include "sim/registry.hpp"
 
@@ -142,6 +144,33 @@ core::TopologyReport run_job(const DiscoveryJob& job) {
 
   sim::Gpu gpu(spec, job.seed, mig);
   return core::discover(gpu, job.options);
+}
+
+AttemptOutcome attempt_job(const DiscoveryJob& job, double timeout_seconds) {
+  AttemptOutcome outcome;
+  try {
+    if (fault::faults_enabled()) {
+      fault::Injector::instance().at(fault::kSiteJobAttempt, job.key());
+    }
+    DiscoveryJob attempt = job;
+    attempt.options.deadline = core::Deadline::after(timeout_seconds);
+    outcome.report = run_job(attempt);
+    outcome.ok = true;
+  } catch (const core::TimeoutError& e) {
+    outcome.error = e.what();
+    outcome.timed_out = true;
+  } catch (const std::invalid_argument& e) {
+    outcome.error = e.what();
+    outcome.permanent = true;
+  } catch (const std::out_of_range& e) {
+    outcome.error = e.what();
+    outcome.permanent = true;
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  } catch (...) {
+    outcome.error = "unknown error";
+  }
+  return outcome;
 }
 
 }  // namespace mt4g::fleet

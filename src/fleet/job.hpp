@@ -89,4 +89,25 @@ std::vector<DiscoveryJob> expand_jobs(const SweepPlan& plan);
 /// these per job instead of aborting the sweep.
 core::TopologyReport run_job(const DiscoveryJob& job);
 
+/// Verdict of one attempt at a job (attempt_job).
+struct AttemptOutcome {
+  bool ok = false;
+  bool timed_out = false;       ///< the per-attempt deadline expired
+  bool permanent = false;       ///< malformed job: retrying cannot heal it
+  std::string error;            ///< the exception message when !ok
+  core::TopologyReport report;  ///< valid when ok
+};
+
+/// One attempt at @p job, the unit both the in-process scheduler and a fleet
+/// worker process retry: visits the fleet.job.attempt fault site, arms a
+/// fresh deadline of @p timeout_seconds (<= 0 = unlimited) and runs
+/// run_job(). Never throws; a failure is classified as
+///  * core::TimeoutError -> timed_out (retryable);
+///  * std::invalid_argument, std::out_of_range -> permanent (an unknown
+///    model, MIG profile or cache config yields the same error every time);
+///  * anything else -> retryable.
+/// Every attempt builds a fresh Gpu from the spec, so attempt N reproduces
+/// attempt 1 exactly and retries stay byte-identical.
+AttemptOutcome attempt_job(const DiscoveryJob& job, double timeout_seconds);
+
 }  // namespace mt4g::fleet

@@ -124,16 +124,11 @@ json::Value job_to_json(const DiscoveryJob& job) {
     spec_hash = sim::spec_content_hash(*job.spec);
   }
   doc.emplace_back("spec_hash", spec_hash == 0 ? "-" : hex16(spec_hash));
-  if (job.spec) {
-    // The canonical spec travels as an opaque STRING, not a JSON subtree:
-    // spec doubles are written in exact to_chars form, and embedding them as
-    // values would re-render them through the line serialiser's %.10g —
-    // corrupting the spec by an ulp and shifting every derived quantity the
-    // worker computes from it. Strings pass through the dump byte-exactly.
-    doc.emplace_back("spec", sim::spec_to_json(*job.spec));
-  } else {
-    doc.emplace_back("spec", nullptr);
-  }
+  // The resolved spec travels as its canonical document (a JSON object), so
+  // a worker needs no registry lookup.
+  json::Value spec;
+  if (job.spec) spec = json::parse_or_throw(sim::spec_to_json(*job.spec));
+  doc.emplace_back("spec", std::move(spec));
   return json::Value(std::move(doc));
 }
 
@@ -195,17 +190,9 @@ DiscoveryJob job_from_json(const json::Value& doc) {
     throw std::invalid_argument("job record: missing 'spec'");
   }
   if (!spec->is_null()) {
-    if (!spec->is_string()) {
-      throw std::invalid_argument(
-          "job record: 'spec' must be a canonical spec-JSON string or null");
-    }
     try {
-      const json::ParseResult parsed = json::parse(spec->as_string());
-      if (!parsed.ok()) {
-        throw std::invalid_argument(parsed.error.message);
-      }
-      job.spec = std::make_shared<const sim::GpuSpec>(
-          sim::spec_from_json(*parsed.value));
+      job.spec =
+          std::make_shared<const sim::GpuSpec>(sim::spec_from_json(*spec));
     } catch (const std::exception& e) {
       throw std::invalid_argument(std::string("job record: bad spec: ") +
                                   e.what());
@@ -366,7 +353,7 @@ std::optional<WorkerMessage> parse_worker_message(const std::string& text,
     return std::nullopt;
   }
   try {
-    message.report = core::from_json_string(report->dump());
+    message.report = core::from_json(*report);
   } catch (const std::exception& e) {
     if (reason) {
       *reason = std::string("done record carries an unreadable report: ") +

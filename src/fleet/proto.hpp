@@ -17,9 +17,10 @@
 //      "timed_out":B,"permanent":B,"wall":S}
 //
 // Jobs travel fully by value — the assignment embeds the resolved GpuSpec as
-// a STRING holding its canonical spec JSON (exact to_chars doubles, immune
-// to the line serialiser's %.10g) — so a worker needs no registry lookup and
-// a custom --model-spec sweep shards exactly like a built-in one.
+// its canonical spec document, a JSON object under "spec" — so a worker needs
+// no registry lookup and a custom --model-spec sweep shards exactly like a
+// built-in one. json::Value::dump writes shortest round-trip doubles, so the
+// spec and every report cross the pipe bit-exactly.
 //
 // Robustness contract: parse_worker_message() never throws on hostile input.
 // A truncated, garbage, or type-confused worker line returns nullopt with a

@@ -6,28 +6,47 @@
 #include <mutex>
 #include <thread>
 
-#include "common/fault.hpp"
-#include "core/cancel.hpp"
 #include "exec/executor.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::fleet {
-namespace {
 
-/// Deterministic backoff before retry attempt @p attempt (2-based):
-/// min(cap, base << (attempt - 2)) milliseconds; base 0 = immediate.
-std::uint32_t backoff_ms(const RetryPolicy& retry, std::uint32_t attempt) {
-  if (retry.backoff_base_ms == 0 || attempt < 2) return 0;
+std::uint32_t RetryPolicy::backoff_ms(std::uint32_t attempt) const {
+  if (backoff_base_ms == 0 || attempt < 2) return 0;
   const std::uint32_t shift = std::min<std::uint32_t>(attempt - 2, 31);
-  const std::uint64_t wait =
-      static_cast<std::uint64_t>(retry.backoff_base_ms) << shift;
+  const std::uint64_t wait = static_cast<std::uint64_t>(backoff_base_ms)
+                             << shift;
   return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(wait, retry.backoff_cap_ms));
+      std::min<std::uint64_t>(wait, backoff_cap_ms));
 }
 
-}  // namespace
+void count_event(FleetProgress* progress,
+                 std::atomic<std::size_t> FleetProgress::*counter,
+                 const char* metric) {
+  if (progress) (progress->*counter).fetch_add(1, std::memory_order_relaxed);
+  if (obs::metrics_enabled()) obs::Metrics::instance().add(metric);
+}
+
+void record_finished(const JobResult& result, FleetProgress* progress) {
+  if (result.from_cache) {
+    count_event(progress, &FleetProgress::cache_hits, "fleet.cache_hits");
+  }
+  if (result.skipped) {
+    count_event(progress, &FleetProgress::skipped, "fleet.jobs_skipped");
+  } else if (!result.ok) {
+    count_event(progress, &FleetProgress::failed, "fleet.jobs_failed");
+  }
+  count_event(progress, &FleetProgress::done, "fleet.jobs_done");
+  // A job that needed more than one attempt (or lost a worker) finished
+  // degraded even when it ultimately succeeded — the signal an operator
+  // alerts on.
+  if ((result.retried || result.timed_out || result.worker_crashes > 0) &&
+      obs::metrics_enabled()) {
+    obs::Metrics::instance().add("fleet.jobs_degraded");
+  }
+}
 
 std::vector<JobResult> run_sweep(const std::vector<DiscoveryJob>& jobs,
                                  const SchedulerOptions& options) {
@@ -59,32 +78,7 @@ std::vector<JobResult> run_sweep(const std::vector<DiscoveryJob>& jobs,
   std::atomic<bool> abort{false};
 
   const auto finish = [&](JobResult& result) {
-    if (options.progress) {
-      if (result.from_cache) {
-        options.progress->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (result.skipped) {
-        options.progress->skipped.fetch_add(1, std::memory_order_relaxed);
-      } else if (!result.ok) {
-        options.progress->failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      options.progress->done.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs::metrics_enabled()) {
-      obs::Metrics& metrics = obs::Metrics::instance();
-      metrics.add("fleet.jobs_done");
-      if (result.from_cache) metrics.add("fleet.cache_hits");
-      if (result.skipped) {
-        metrics.add("fleet.jobs_skipped");
-      } else if (!result.ok) {
-        metrics.add("fleet.jobs_failed");
-      }
-      // A job that needed more than one attempt finished degraded even when
-      // it ultimately succeeded — the signal an operator alerts on.
-      if (result.retried || result.timed_out) {
-        metrics.add("fleet.jobs_degraded");
-      }
-    }
+    record_finished(result, options.progress);
     if (options.on_result) {
       // The finished count is bumped under the same lock as the callback so
       // `done` values arrive strictly in order (1, 2, ..., total).
@@ -131,62 +125,36 @@ std::vector<JobResult> run_sweep(const std::vector<DiscoveryJob>& jobs,
       for (std::uint32_t attempt = 1; attempt <= max_attempts; ++attempt) {
         if (attempt > 1) {
           result.retried = true;
-          if (options.progress) {
-            options.progress->retries.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (obs::metrics_enabled()) {
-            obs::Metrics::instance().add("fleet.retries");
-          }
-          const std::uint32_t wait_ms = backoff_ms(options.retry, attempt);
+          count_event(options.progress, &FleetProgress::retries,
+                      "fleet.retries");
+          const std::uint32_t wait_ms = options.retry.backoff_ms(attempt);
           if (wait_ms > 0) {
             std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
           }
         }
         result.attempts = attempt;
-        result.timed_out = false;  // only the final attempt's verdict counts
-        try {
+        AttemptOutcome outcome;
+        {
           const obs::SpanGuard attempt_span(
               "fleet.attempt:",
               obs::tracing_enabled()
                   ? jobs[index].key() + "#" + std::to_string(attempt)
                   : std::string());
-          if (fault::faults_enabled()) {
-            fault::Injector::instance().at(fault::kSiteJobAttempt,
-                                           jobs[index].key());
-          }
-          // Each attempt runs the job value untouched except for a fresh
-          // deadline — run_job builds a new Gpu from the spec, so attempt N
-          // reproduces attempt 1 exactly and retries stay byte-identical.
-          DiscoveryJob attempt_job = result.job;
-          attempt_job.options.deadline =
-              core::Deadline::after(options.retry.timeout_seconds);
-          result.report = run_job(attempt_job);
-          result.ok = true;
-          result.error.clear();
-          break;
-        } catch (const core::TimeoutError& e) {
-          result.error = e.what();
-          result.timed_out = true;
-          if (options.progress) {
-            options.progress->timeouts.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          }
-          if (obs::metrics_enabled()) {
-            obs::Metrics::instance().add("fleet.timeouts");
-          }
-        } catch (const std::invalid_argument& e) {
-          // Permanent: a malformed job (unknown MIG profile, bad cache
-          // config) yields the same error every attempt — fail immediately.
-          result.error = e.what();
-          break;
-        } catch (const std::out_of_range& e) {
-          result.error = e.what();  // permanent: unknown model
-          break;
-        } catch (const std::exception& e) {
-          result.error = e.what();  // transient: retryable
-        } catch (...) {
-          result.error = "unknown error";
+          outcome = attempt_job(result.job, options.retry.timeout_seconds);
         }
+        // Only the final attempt's verdict counts.
+        result.ok = outcome.ok;
+        result.error = std::move(outcome.error);
+        result.timed_out = outcome.timed_out;
+        if (outcome.ok) {
+          result.report = std::move(outcome.report);
+          break;
+        }
+        if (outcome.timed_out) {
+          count_event(options.progress, &FleetProgress::timeouts,
+                      "fleet.timeouts");
+        }
+        if (outcome.permanent) break;
       }
       if (result.ok && options.cache) {
         try {

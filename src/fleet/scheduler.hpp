@@ -86,10 +86,15 @@ struct RetryPolicy {
   /// cooperatively before each stage, so the overshoot is bounded by the
   /// longest single stage.
   double timeout_seconds = 0.0;
-  /// Deterministic exponential backoff between attempts:
-  /// min(backoff_cap_ms, backoff_base_ms << (attempt - 1)); 0 = immediate.
+  /// Deterministic exponential backoff between attempts, see backoff_ms();
+  /// base 0 = immediate.
   std::uint32_t backoff_base_ms = 0;
   std::uint32_t backoff_cap_ms = 1000;
+
+  /// Wait before attempt @p attempt (1-based; the first attempt never
+  /// waits): min(backoff_cap_ms, backoff_base_ms << (attempt - 2)) ms. The
+  /// in-process scheduler and the process supervisor share this schedule.
+  std::uint32_t backoff_ms(std::uint32_t attempt) const;
 };
 
 struct SchedulerOptions {
@@ -121,6 +126,16 @@ struct SchedulerOptions {
   /// are reaped (supervised). nullptr = never cancelled.
   const std::atomic<bool>* cancel = nullptr;
 };
+
+/// Adds one to @p counter of @p progress (null = none) and to the @p metric
+/// counter when metrics are on: every fleet event is booked in both views.
+void count_event(FleetProgress* progress,
+                 std::atomic<std::size_t> FleetProgress::*counter,
+                 const char* metric);
+
+/// Books one finished job into @p progress (null = none) and the fleet.*
+/// metrics; run_sweep and run_supervised count outcomes through it.
+void record_finished(const JobResult& result, FleetProgress* progress);
 
 /// Runs every job and returns results in job order. Never throws for
 /// per-job failures; see JobResult::ok / error.

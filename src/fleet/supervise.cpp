@@ -14,24 +14,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.hpp"
 #include "fleet/proto.hpp"
 
 namespace mt4g::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Same deterministic backoff the in-process scheduler applies between
-/// attempts (scheduler.cpp): min(cap, base << (attempt - 2)) ms.
-std::uint32_t backoff_ms(const RetryPolicy& retry, std::uint32_t attempt) {
-  if (retry.backoff_base_ms == 0 || attempt < 2) return 0;
-  const std::uint32_t shift = std::min<std::uint32_t>(attempt - 2, 31);
-  const std::uint64_t wait =
-      static_cast<std::uint64_t>(retry.backoff_base_ms) << shift;
-  return static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(wait, retry.backoff_cap_ms));
-}
 
 /// One supervised worker process and the coordinator's view of it.
 struct Worker {
@@ -199,30 +187,7 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
   const auto finish = [&](std::size_t index) {
     JobResult& result = results[index];
     ++finished;
-    if (options.progress) {
-      if (result.from_cache) {
-        options.progress->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (result.skipped) {
-        options.progress->skipped.fetch_add(1, std::memory_order_relaxed);
-      } else if (!result.ok) {
-        options.progress->failed.fetch_add(1, std::memory_order_relaxed);
-      }
-      options.progress->done.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs::metrics_enabled()) {
-      obs::Metrics& metrics = obs::Metrics::instance();
-      metrics.add("fleet.jobs_done");
-      if (result.from_cache) metrics.add("fleet.cache_hits");
-      if (result.skipped) {
-        metrics.add("fleet.jobs_skipped");
-      } else if (!result.ok) {
-        metrics.add("fleet.jobs_failed");
-      }
-      if (result.retried || result.timed_out || result.worker_crashes > 0) {
-        metrics.add("fleet.jobs_degraded");
-      }
-    }
+    record_finished(result, options.progress);
     if (result.ok && !result.from_cache && !result.from_journal &&
         options.cache) {
       try {
@@ -294,15 +259,11 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
     const std::size_t index = worker.job_index;
     ++crashes[index];
     results[index].worker_crashes = crashes[index];
-    if (options.progress) {
-      options.progress->worker_crashes.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (obs::metrics_enabled()) {
-      obs::Metrics::instance().add("fleet.worker_crashes");
-    }
+    count_event(options.progress, &FleetProgress::worker_crashes,
+                "fleet.worker_crashes");
     if (attempts_used[index] < max_attempts) {
       const std::uint32_t wait =
-          backoff_ms(options.retry, attempts_used[index] + 1);
+          options.retry.backoff_ms(attempts_used[index] + 1);
       queue.push_back({index, Clock::now() + std::chrono::milliseconds(wait)});
       return;
     }
@@ -356,14 +317,12 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
     result.error = message->error;
     result.timed_out = message->timed_out;
     if (message->timed_out) {
-      if (options.progress) {
-        options.progress->timeouts.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (obs::metrics_enabled()) obs::Metrics::instance().add("fleet.timeouts");
+      count_event(options.progress, &FleetProgress::timeouts,
+                  "fleet.timeouts");
     }
     if (!message->permanent && attempts_used[index] < max_attempts) {
       const std::uint32_t wait =
-          backoff_ms(options.retry, attempts_used[index] + 1);
+          options.retry.backoff_ms(attempts_used[index] + 1);
       queue.push_back({index, Clock::now() + std::chrono::milliseconds(wait)});
       return true;
     }
@@ -441,10 +400,8 @@ std::vector<JobResult> run_supervised(const std::vector<DiscoveryJob>& jobs,
       queue.erase(item);
       ++attempts_used[index];
       if (attempts_used[index] > 1) {
-        if (options.progress) {
-          options.progress->retries.fetch_add(1, std::memory_order_relaxed);
-        }
-        if (obs::metrics_enabled()) obs::Metrics::instance().add("fleet.retries");
+        count_event(options.progress, &FleetProgress::retries,
+                    "fleet.retries");
       }
       worker.busy = true;
       worker.job_index = index;

@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "common/fault.hpp"
-#include "core/cancel.hpp"
 #include "fleet/proto.hpp"
 
 namespace mt4g::fleet {
@@ -144,37 +143,16 @@ int run_worker_loop(std::istream& in, std::ostream& out,
       }
     }
 
-    // Exactly one attempt; the classification mirrors the in-process
-    // scheduler so the coordinator can apply one retry policy to both modes.
-    try {
-      if (fault::faults_enabled()) {
-        fault::Injector::instance().at(fault::kSiteJobAttempt, key);
-      }
-      DiscoveryJob job = command->job;
-      job.options.deadline = core::Deadline::after(command->timeout_seconds);
-      const core::TopologyReport report = run_job(job);
-      writer.write(encode_done(command->index, key, report, wall()));
-    } catch (const core::TimeoutError& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/true, /*permanent=*/false,
-                                 wall()));
-    } catch (const std::invalid_argument& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/false, /*permanent=*/true,
-                                 wall()));
-    } catch (const std::out_of_range& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/false, /*permanent=*/true,
-                                 wall()));
-    } catch (const std::exception& e) {
-      writer.write(encode_failed(command->index, key, e.what(),
-                                 /*timed_out=*/false, /*permanent=*/false,
-                                 wall()));
-    } catch (...) {
-      writer.write(encode_failed(command->index, key, "unknown error",
-                                 /*timed_out=*/false, /*permanent=*/false,
-                                 wall()));
-    }
+    // Exactly one attempt, classified by the same attempt_job the
+    // in-process scheduler uses, so the coordinator applies one retry policy
+    // to both modes.
+    const AttemptOutcome outcome =
+        attempt_job(command->job, command->timeout_seconds);
+    writer.write(outcome.ok ? encode_done(command->index, key, outcome.report,
+                                          wall())
+                            : encode_failed(command->index, key, outcome.error,
+                                            outcome.timed_out,
+                                            outcome.permanent, wall()));
   }
   return 0;  // EOF between jobs: the coordinator went away; exit quietly
 }

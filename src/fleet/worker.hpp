@@ -2,10 +2,11 @@
 //
 // run_worker_loop() is the body of the hidden `mt4g_cli fleet-worker`
 // subcommand: it reads job assignments from stdin (proto.hpp line protocol),
-// executes each with the same retry-classification the in-process scheduler
-// uses — except a worker makes exactly ONE attempt per assignment and reports
-// the classified outcome, so the coordinator owns the single retry budget
-// that covers exceptions, timeouts, and process crashes alike.
+// executes each through attempt_job() (job.hpp), the attempt-and-classify
+// step the in-process scheduler uses too — a worker makes exactly ONE
+// attempt per assignment and reports the classified outcome, so the
+// coordinator owns the single retry budget that covers exceptions,
+// timeouts, and process crashes alike.
 //
 // Liveness: a background thread emits a heartbeat line every
 // WorkerConfig::heartbeat_ms while the loop runs, so the supervisor can tell

@@ -1,7 +1,6 @@
 #include "sim/spec_io.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -15,18 +14,6 @@ namespace {
 constexpr char kSchemaId[] = "mt4g-gpu-spec/v1";
 
 // --- canonical emitter -------------------------------------------------------
-
-// Shortest text that strtod() parses back to exactly @p v. The report
-// serialiser's %.10g is fine for measured values but would corrupt spec
-// constants like 4/7 (MIG bandwidth fractions) on a file round-trip.
-std::string exact_double(double v) {
-  char buf[40];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  std::string text(buf, result.ptr);
-  // Keep a float marker so the document shows the field's type.
-  if (text.find_first_of(".eEnN") == std::string::npos) text += ".0";
-  return text;
-}
 
 std::string quoted(const std::string& raw) {
   return '"' + json::escape(raw) + '"';
@@ -47,6 +34,10 @@ class SpecWriter {
   }
   void field(const std::string& key, const std::string& literal, bool comma) {
     line(quoted(key) + ": " + literal + (comma ? "," : ""));
+  }
+  /// Doubles go through the shared JSON writer: shortest round-trip text.
+  void field(const std::string& key, double value, bool comma) {
+    field(key, json::Value(value).dump(), comma);
   }
   void field_open(const std::string& key, const std::string& bracket) {
     line(quoted(key) + ": " + bracket);
@@ -77,15 +68,15 @@ void emit_element(SpecWriter& w, const ElementSpec& e, bool comma) {
   w.field("line_bytes", std::to_string(e.line_bytes), true);
   w.field("sector_bytes", std::to_string(e.sector_bytes), true);
   w.field("associativity", std::to_string(e.associativity), true);
-  w.field("latency_cycles", exact_double(e.latency_cycles), true);
+  w.field("latency_cycles", e.latency_cycles, true);
   w.field("amount", std::to_string(e.amount), true);
   w.field("per_sm", e.per_sm ? "true" : "false", true);
   w.field("physical_group", std::to_string(e.physical_group), true);
   w.field("size_from_api", e.size_from_api ? "true" : "false", true);
   w.field("line_from_api", e.line_from_api ? "true" : "false", true);
   w.field("amount_from_api", e.amount_from_api ? "true" : "false", true);
-  w.field("read_bw_bytes_per_s", exact_double(e.read_bw_bytes_per_s), true);
-  w.field("write_bw_bytes_per_s", exact_double(e.write_bw_bytes_per_s), false);
+  w.field("read_bw_bytes_per_s", e.read_bw_bytes_per_s, true);
+  w.field("write_bw_bytes_per_s", e.write_bw_bytes_per_s, false);
   w.close("}", comma);
 }
 
@@ -259,8 +250,8 @@ std::string spec_to_json(const GpuSpec& spec) {
   w.field("microarchitecture", quoted(spec.microarchitecture), true);
   w.field("vendor", quoted(vendor_name(spec.vendor)), true);
   w.field("compute_capability", quoted(spec.compute_capability), true);
-  w.field("clock_mhz", exact_double(spec.clock_mhz), true);
-  w.field("memory_clock_mhz", exact_double(spec.memory_clock_mhz), true);
+  w.field("clock_mhz", spec.clock_mhz, true);
+  w.field("memory_clock_mhz", spec.memory_clock_mhz, true);
   w.field("memory_bus_bits", std::to_string(spec.memory_bus_bits), true);
   w.field("num_sms", std::to_string(spec.num_sms), true);
   w.field("cores_per_sm", std::to_string(spec.cores_per_sm), true);
@@ -295,7 +286,7 @@ std::string spec_to_json(const GpuSpec& spec) {
              ", \"l2_bytes\": " + std::to_string(p.l2_bytes) +
              ", \"mem_bytes\": " + std::to_string(p.mem_bytes) +
              ", \"bandwidth_fraction\": " +
-             exact_double(p.bandwidth_fraction) + "}" +
+             json::Value(p.bandwidth_fraction).dump() + "}" +
              (i + 1 < spec.mig_profiles.size() ? "," : ""));
     }
     w.close("]");

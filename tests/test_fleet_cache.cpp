@@ -10,6 +10,7 @@
 #include "common/json_parse.hpp"
 #include "core/output/json_output.hpp"
 #include "fleet/fleet.hpp"
+#include "precise_report.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::fleet {
@@ -96,6 +97,22 @@ TEST(FleetCache, FileRoundTripAcrossInstances) {
   const auto cached = reloaded.get(job);
   ASSERT_TRUE(cached.has_value());
   EXPECT_EQ(core::to_json_string(*cached), core::to_json_string(report));
+}
+
+TEST(FleetCache, FileRoundTripKeeps17DigitValuesExactly) {
+  TempFile file("cache_precise.json");
+  const DiscoveryJob job = synthetic_job();
+  const core::TopologyReport report = testing_support::precise_report();
+  {
+    ResultCache cache(file.path());
+    cache.put(job, report);
+    EXPECT_TRUE(cache.save());
+  }
+  ResultCache reloaded(file.path());
+  EXPECT_TRUE(reloaded.load_error().empty()) << reloaded.load_error();
+  const auto cached = reloaded.get(job);
+  ASSERT_TRUE(cached.has_value());
+  testing_support::expect_reports_equal(*cached, report);
 }
 
 TEST(FleetCache, CorruptedFileRecoversEmpty) {

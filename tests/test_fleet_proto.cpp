@@ -11,6 +11,7 @@
 #include "common/json_parse.hpp"
 #include "core/output/json_output.hpp"
 #include "fleet/fleet.hpp"
+#include "precise_report.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::fleet {
@@ -35,8 +36,9 @@ TEST(FleetProto, JobRoundTripsWithResolvedSpec) {
   ASSERT_NE(job.spec, nullptr);
   ASSERT_NE(job.spec_hash, 0u);
 
-  // Round-trip through the real wire line — the dump is where a naively
-  // embedded spec would lose double precision to the %.10g serialiser.
+  // Round-trip through the real wire line: the spec travels as a JSON
+  // object, so its doubles (4/7 MIG fractions, bandwidths) must survive the
+  // compact dump and the parse bit-exactly.
   const std::string wire = encode_job_assignment(job, 0, 1, 0.0);
   std::string reason;
   const auto command =
@@ -147,6 +149,36 @@ TEST(FleetProto, MessageLinesRoundTrip) {
   EXPECT_EQ(message->error, "boom\nwith newline");
   EXPECT_TRUE(message->timed_out);
   EXPECT_FALSE(message->permanent);
+}
+
+TEST(FleetProto, DoneLineCarries17DigitReportValuesExactly) {
+  const core::TopologyReport report = testing_support::precise_report();
+  const std::string done = encode_done(3, "k", report, 1.0 / 3.0);
+  std::string reason;
+  const auto message =
+      parse_worker_message(done.substr(0, done.size() - 1), &reason);
+  ASSERT_TRUE(message.has_value()) << reason;
+  EXPECT_EQ(message->wall_seconds, 1.0 / 3.0);
+  testing_support::expect_reports_equal(message->report, report);
+}
+
+TEST(FleetProto, JobCarriesTheSpecAsAJsonObject) {
+  const DiscoveryJob job = resolved_job("A100");
+  const json::Value doc = job_to_json(job);
+  const json::Value* spec = doc.find("spec");
+  ASSERT_NE(spec, nullptr);
+  EXPECT_TRUE(spec->is_object());
+  const DiscoveryJob back = job_from_json(
+      json::parse_or_throw(doc.dump(-1)));
+  ASSERT_NE(back.spec, nullptr);
+  EXPECT_EQ(sim::spec_to_json(*back.spec), sim::spec_to_json(*job.spec));
+
+  // A spec that is not a spec document is a bad job, never a crash.
+  json::Value broken = doc;
+  broken.set("spec", "{\"schema\": \"mt4g-gpu-spec/v1\"}");
+  EXPECT_THROW(job_from_json(broken), std::invalid_argument);
+  broken.set("spec", json::Value(json::Array{}));
+  EXPECT_THROW(job_from_json(broken), std::invalid_argument);
 }
 
 TEST(FleetProto, HostileWorkerLinesNeverThrow) {

@@ -11,6 +11,7 @@
 #include "common/json.hpp"
 #include "core/output/json_output.hpp"
 #include "fleet/fleet.hpp"
+#include "precise_report.hpp"
 
 namespace mt4g::fleet {
 namespace {
@@ -75,6 +76,24 @@ TEST(RunJournal, OkAndFailedRecordsRoundTrip) {
   ASSERT_NE(failed_it, loaded.end());
   EXPECT_FALSE(failed_it->second.ok);
   EXPECT_EQ(failed_it->second.error, "injected fault: gave up");
+}
+
+TEST(RunJournal, ReplayKeeps17DigitValuesExactly) {
+  TempFile file("journal_precise.jsonl");
+  JobResult result;
+  result.job = test_jobs()[0];
+  result.ok = true;
+  result.report = testing_support::precise_report();
+  {
+    RunJournal journal = RunJournal::open(file.path());
+    ASSERT_TRUE(journal.is_open());
+    journal.append(result);
+  }
+  const auto loaded = load_journal(file.path());
+  const auto it = loaded.find(result.job.key());
+  ASSERT_NE(it, loaded.end());
+  ASSERT_TRUE(it->second.ok);
+  testing_support::expect_reports_equal(it->second.report, result.report);
 }
 
 TEST(RunJournal, MissingFileIsAnEmptyJournal) {

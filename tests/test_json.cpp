@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <limits>
+
+#include "common/json_parse.hpp"
+
 namespace mt4g::json {
 namespace {
 
@@ -17,6 +23,42 @@ TEST(Json, Scalars) {
 TEST(Json, DoublesKeepFloatShape) {
   EXPECT_EQ(Value(1.5).dump(), "1.5");
   EXPECT_EQ(Value(2.0).dump(), "2.0");  // stays recognisably a float
+}
+
+TEST(Json, DoublesRoundTripBitExactly) {
+  // Each value needs more than 10 significant digits (or a sign bit) to
+  // survive a dump/parse cycle — the cycle reports take through cache files,
+  // journals and worker pipes.
+  const double table[] = {
+      0.1 + 0.2,
+      4.0 / 7.0,
+      1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      static_cast<double>((std::int64_t{1} << 53) + 1),
+      -0.0,
+      56.720680170883114,
+  };
+  for (const double v : table) {
+    for (const int indent : {2, -1}) {
+      const std::string text = Value(v).dump(indent);
+      const ParseResult parsed = parse(text);
+      ASSERT_TRUE(parsed.ok()) << text;
+      ASSERT_TRUE(parsed.value->is_double()) << text;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed.value->as_double()),
+                std::bit_cast<std::uint64_t>(v))
+          << "dumped as " << text;
+    }
+  }
+}
+
+TEST(Json, DoublesPrintShortestRoundTripText) {
+  EXPECT_EQ(Value(0.1 + 0.2).dump(), "0.30000000000000004");
+  EXPECT_EQ(Value(0.1).dump(), "0.1");
+  EXPECT_EQ(Value(-0.0).dump(), "-0.0");
+  EXPECT_EQ(Value(1e-300).dump(), "1e-300");
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).dump(), "null");
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).dump(), "1e999");
+  EXPECT_EQ(Value(-std::numeric_limits<double>::infinity()).dump(), "-1e999");
 }
 
 TEST(Json, StringEscaping) {

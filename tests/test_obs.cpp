@@ -6,7 +6,6 @@
 // meta.wall report round-trip.
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <new>
 #include <set>
@@ -329,9 +328,8 @@ TEST(ObsWallReport, MetricsRunEmbedsWallBlockAndRoundTrips) {
   for (std::size_t i = 0; i < report.wall.samples.size(); ++i) {
     EXPECT_EQ(parsed.wall.samples[i].name, report.wall.samples[i].name);
     EXPECT_EQ(parsed.wall.samples[i].kind, report.wall.samples[i].kind);
-    // dump() renders doubles with %.10g — compare with relative tolerance.
-    EXPECT_NEAR(parsed.wall.samples[i].value, report.wall.samples[i].value,
-                std::abs(report.wall.samples[i].value) * 1e-9 + 1e-9);
+    // dump() writes shortest round-trip doubles: the value comes back exact.
+    EXPECT_EQ(parsed.wall.samples[i].value, report.wall.samples[i].value);
     EXPECT_EQ(parsed.wall.samples[i].count, report.wall.samples[i].count);
   }
 

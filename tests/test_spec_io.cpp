@@ -39,7 +39,8 @@ TEST(SpecIo, CanonicalTextIsStableAcrossRoundTrips) {
 
 TEST(SpecIo, ExactDoublesSurviveTheRoundTrip) {
   // 4.0/7.0 (A100 MIG bandwidth fraction) and 4.4 TiB/s (H100 L2 read
-  // bandwidth) are the canaries: %.10g-style formatting would corrupt them.
+  // bandwidth) are the canaries: any writer that rounds to fewer than 17
+  // significant digits would corrupt them.
   const GpuSpec& a100 = registry_get("A100");
   const GpuSpec reparsed = spec_from_json_string(spec_to_json(a100), "A100");
   ASSERT_EQ(reparsed.mig_profiles.size(), a100.mig_profiles.size());
