@@ -653,7 +653,6 @@ int run_fleet(const char* argv0, int argc, char** argv) {
   // Journal bookkeeping: --resume replays the journal's outcomes into
   // prefilled result slots; without --resume an existing journal restarts.
   std::vector<fleet::JobResult> prefilled;
-  std::vector<std::size_t> pending_indices;
   std::optional<fleet::RunJournal> journal;
   if (!journal_path.empty()) {
     std::map<std::string, fleet::JournalEntry> journaled;
@@ -668,15 +667,14 @@ int run_fleet(const char* argv0, int argc, char** argv) {
       std::error_code remove_ec;
       std::filesystem::remove(journal_path, remove_ec);
     }
-    pending_indices = fleet::apply_journal(jobs, journaled, prefilled);
+    fleet::apply_journal(jobs, journaled, prefilled);
     try {
       journal.emplace(fleet::RunJournal::open(journal_path));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "mt4g fleet: %s\n", e.what());
       return 1;
     }
-  } else {
-    pending_indices = fleet::apply_journal(jobs, {}, prefilled);
+    scheduler.journal = &*journal;
   }
 
   // First SIGINT/SIGTERM = graceful stop; second = immediate death.
@@ -692,10 +690,11 @@ int run_fleet(const char* argv0, int argc, char** argv) {
       heartbeat.emplace(fleet_progress);
     }
     if (procs > 0) {
-      // Supervised worker processes: same jobs, same retry budget, plus
+      // Supervised worker processes: same job loop, same retry budget, plus
       // crash containment and heartbeat liveness (README "Distributed
       // fleet").
       fleet::SupervisorOptions super;
+      static_cast<fleet::FleetOptions&>(super) = scheduler;
       super.procs = procs;
       super.worker_argv = {argv0, "fleet-worker", "--heartbeat-ms",
                            std::to_string(worker_heartbeat_ms)};
@@ -703,46 +702,16 @@ int run_fleet(const char* argv0, int argc, char** argv) {
         super.worker_argv.push_back("--fault-plan");
         super.worker_argv.push_back(fault_plan_path);
       }
-      super.cache = scheduler.cache;
-      super.journal = journal ? &*journal : nullptr;
-      super.on_result = scheduler.on_result;
-      super.progress = scheduler.progress;
-      super.retry = scheduler.retry;
-      super.cancel = &g_cancel;
       super.heartbeat_timeout_seconds =
           std::max(2.0, 10.0 * worker_heartbeat_ms / 1000.0);
       results = fleet::run_supervised(jobs, super, std::move(prefilled));
-    } else if (!journal_path.empty()) {
-      // In-process sweep with a journal: run only the pending subset, append
-      // each final outcome, and merge back into the prefilled slots so the
-      // result vector keeps job order.
-      std::vector<fleet::DiscoveryJob> pending_jobs;
-      pending_jobs.reserve(pending_indices.size());
-      for (const std::size_t index : pending_indices) {
-        pending_jobs.push_back(jobs[index]);
-      }
-      fleet::SchedulerOptions journaling = scheduler;
-      if (journal) {
-        journaling.on_result = [&](const fleet::JobResult& result,
-                                   std::size_t done, std::size_t total) {
-          try {
-            if (!result.skipped) journal->append(result);
-          } catch (const std::exception& e) {
-            // A dead journal downgrades crash-safety, not the sweep itself.
-            std::fprintf(stderr, "mt4g fleet: %s\n", e.what());
-          }
-          if (scheduler.on_result) scheduler.on_result(result, done, total);
-        };
-      }
-      std::vector<fleet::JobResult> pending_results =
-          fleet::run_sweep(pending_jobs, journaling);
-      results = std::move(prefilled);
-      for (std::size_t i = 0; i < pending_indices.size(); ++i) {
-        results[pending_indices[i]] = std::move(pending_results[i]);
-      }
     } else {
-      results = fleet::run_sweep(jobs, scheduler);
+      results = fleet::run_sweep(jobs, scheduler, std::move(prefilled));
     }
+  }
+  if (journal && !journal->error().empty()) {
+    // A dead journal downgrades crash safety, not the sweep itself.
+    std::fprintf(stderr, "mt4g fleet: %s\n", journal->error().c_str());
   }
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);

@@ -25,13 +25,16 @@ std::string errno_text() { return std::strerror(errno); }
 RunJournal::~RunJournal() { close(); }
 
 RunJournal::RunJournal(RunJournal&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), path_(std::move(other.path_)) {}
+    : fd_(std::exchange(other.fd_, -1)),
+      path_(std::move(other.path_)),
+      error_(std::move(other.error_)) {}
 
 RunJournal& RunJournal::operator=(RunJournal&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     path_ = std::move(other.path_);
+    error_ = std::move(other.error_);
   }
   return *this;
 }
@@ -48,7 +51,7 @@ RunJournal RunJournal::open(const std::string& path) {
 }
 
 void RunJournal::append(const JobResult& result) {
-  if (fd_ < 0) throw std::runtime_error("journal: append on a closed journal");
+  if (fd_ < 0) fail("journal: append on a closed journal");
   json::Object record;
   record.emplace_back("v", 1);
   record.emplace_back("key", result.job.key());
@@ -67,15 +70,18 @@ void RunJournal::append(const JobResult& result) {
         ::write(fd_, line.data() + written, line.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error("journal: write to '" + path_ +
-                               "' failed: " + errno_text());
+      fail("journal: write to '" + path_ + "' failed: " + errno_text());
     }
     written += static_cast<std::size_t>(n);
   }
   if (::fsync(fd_) != 0) {
-    throw std::runtime_error("journal: fsync of '" + path_ +
-                             "' failed: " + errno_text());
+    fail("journal: fsync of '" + path_ + "' failed: " + errno_text());
   }
+}
+
+void RunJournal::fail(std::string message) {
+  error_ = message;
+  throw std::runtime_error(std::move(message));
 }
 
 void RunJournal::close() {

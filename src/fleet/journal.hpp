@@ -59,14 +59,24 @@ class RunJournal {
   /// journaled too — --resume must not re-burn a retry budget the previous
   /// run already exhausted. Skipped/cancelled jobs are NOT journaled: a
   /// resumed run should attempt them.
-  /// @throws std::runtime_error when the write or fsync fails.
+  /// @throws std::runtime_error when the write or fsync fails, or when the
+  /// journal is closed.
   void append(const JobResult& result);
+
+  /// The message of the last append() that threw; empty while every record
+  /// landed. The fleet job loop carries on past a failed append, so this is
+  /// how its caller learns that crash safety was lost.
+  const std::string& error() const { return error_; }
 
   void close();
 
  private:
+  /// Records @p message as error() and throws it as std::runtime_error.
+  [[noreturn]] void fail(std::string message);
+
   int fd_ = -1;
   std::string path_;
+  std::string error_;
 };
 
 /// Loads every intact record of a journal file; keyed by job key, later

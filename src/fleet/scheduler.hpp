@@ -1,12 +1,21 @@
-// Worker-pool discovery scheduler.
+// The fleet job loop, and its in-process transport.
 //
-// run_sweep() fans a job list out across the process-wide executor
-// (exec::shared_executor) and returns one JobResult per job, in job order —
-// the result vector is identical for any worker count, because each worker
-// writes into the slot of the job index it claimed (there is no
-// completion-order dependence). Jobs whose DiscoverOptions request
-// intra-benchmark sweep parallelism (sweep_threads > 1) nest on the same
-// executor without spawning additional threads.
+// Every fleet run goes through one loop, run_jobs(): a participant claims a
+// job, skips it on cancel or fail-fast, replays a prefilled journal result,
+// probes the result cache, runs attempts under RetryPolicy (backoff,
+// deadline, classification), fills the cache, journals the final outcome
+// and only then reports it through on_result and FleetProgress. How ONE
+// attempt executes is the transport's business:
+//  * run_sweep() (this file) attempts in-process via attempt_job() on the
+//    process-wide executor (exec::shared_executor); a job's own nested
+//    parallelism (sweep_threads > 1) composes on the same pool;
+//  * run_supervised() (supervise.hpp) attempts on a worker process per
+//    participant slot, so a crashing job cannot take the coordinator down.
+//
+// Results are slot-indexed by job order, never by completion order, and
+// every attempt rebuilds its Gpu from the job spec — so the result vector is
+// identical for any worker count, transport and retry history (gated by
+// tests/test_fleet_retry.cpp and tests/test_fleet_supervise.cpp).
 //
 // Failure model (see README "Failure model"):
 //  * A job that throws is captured as a failed JobResult; the sweep always
@@ -20,9 +29,8 @@
 //    checked cooperatively before every stage of the discovery graph; an
 //    expired deadline fails the attempt with TimeoutError (retryable,
 //    counted in JobResult::timed_out / FleetProgress::timeouts).
-//  * Every attempt runs a fresh Gpu from the job spec, so a retried job
-//    produces the byte-identical report of a clean run — retries never
-//    perturb the determinism contract (gated by tests/test_fleet_retry.cpp).
+//  * A journal append that fails never stops the sweep: the run carries on
+//    without crash safety and RunJournal::error() names the failure.
 #pragma once
 
 #include <atomic>
@@ -34,6 +42,10 @@
 #include "core/report.hpp"
 #include "fleet/cache.hpp"
 #include "fleet/job.hpp"
+
+namespace mt4g::exec {
+class Executor;
+}
 
 namespace mt4g::fleet {
 
@@ -92,54 +104,84 @@ struct RetryPolicy {
   std::uint32_t backoff_cap_ms = 1000;
 
   /// Wait before attempt @p attempt (1-based; the first attempt never
-  /// waits): min(backoff_cap_ms, backoff_base_ms << (attempt - 2)) ms. The
-  /// in-process scheduler and the process supervisor share this schedule.
+  /// waits): min(backoff_cap_ms, backoff_base_ms << (attempt - 2)) ms.
   std::uint32_t backoff_ms(std::uint32_t attempt) const;
 };
 
-struct SchedulerOptions {
-  /// Concurrent jobs (the calling thread included);
-  /// 0 = std::thread::hardware_concurrency() (min 1), 1 = serial in order.
-  std::uint32_t workers = 0;
-  /// Optional shared result cache probed before and filled after each run.
+class RunJournal;
+
+/// Options every fleet run shares, whichever transport runs its attempts.
+struct FleetOptions {
+  /// Optional shared result cache probed before and filled after each job.
+  /// Only the job loop touches it (worker processes stay cache-blind).
   ResultCache* cache = nullptr;
-  /// Progress callback, invoked once per finished job from worker threads but
-  /// never concurrently (serialised internally). @p done counts finished
-  /// jobs including this one, @p total is the sweep size.
+  /// Optional crash-safe progress log: every final outcome that is neither
+  /// a replay nor a skip is appended + fsync'd before on_result sees it.
+  RunJournal* journal = nullptr;
+  /// Progress callback, invoked once per finished job (journal replays
+  /// included) from the participant that finished it, but never
+  /// concurrently (serialised internally). @p done counts finished jobs
+  /// including this one and arrives strictly in order (1, 2, ..., total);
+  /// @p total is the sweep size.
   std::function<void(const JobResult& result, std::size_t done,
                      std::size_t total)>
       on_result;
   /// Optional live counters, updated lock-free as jobs finish. The caller
   /// owns the struct and may poll it from another thread (progress display).
   FleetProgress* progress = nullptr;
-  /// Retry / timeout / backoff applied to every job.
+  /// One budget for exceptions, timeouts and worker deaths, per job.
   RetryPolicy retry;
   /// Stop claiming new jobs after the first definitive failure; jobs not yet
   /// started finish as JobResult::skipped. Which jobs were already in flight
   /// when the failure landed depends on scheduling — fail-fast trades the
   /// run-to-completion guarantee for latency, and is therefore the only
-  /// scheduler mode whose result vector is not schedule-independent.
+  /// mode whose result vector is not schedule-independent.
   bool fail_fast = false;
   /// Cooperative cancellation (SIGINT/SIGTERM): when the pointee turns true
-  /// the scheduler stops claiming jobs and records the rest as skipped, like
-  /// fail_fast but caller-triggered. In-flight jobs finish (in-process) or
-  /// are reaped (supervised). nullptr = never cancelled.
+  /// the loop stops claiming jobs and starting retries and records those
+  /// jobs as skipped, like fail_fast but caller-triggered. Attempts in
+  /// flight finish. nullptr = never cancelled.
   const std::atomic<bool>* cancel = nullptr;
 };
 
-/// Adds one to @p counter of @p progress (null = none) and to the @p metric
-/// counter when metrics are on: every fleet event is booked in both views.
-void count_event(FleetProgress* progress,
-                 std::atomic<std::size_t> FleetProgress::*counter,
-                 const char* metric);
+/// The in-process transport's options.
+struct SchedulerOptions : FleetOptions {
+  /// Concurrent jobs (the calling thread included);
+  /// 0 = std::thread::hardware_concurrency() (min 1), 1 = serial in order.
+  std::uint32_t workers = 0;
+};
 
-/// Books one finished job into @p progress (null = none) and the fleet.*
-/// metrics; run_sweep and run_supervised count outcomes through it.
-void record_finished(const JobResult& result, FleetProgress* progress);
+/// What one attempt came to on its transport.
+struct TransportAttempt {
+  AttemptOutcome outcome;
+  /// The worker process died, went silent or broke protocol during the
+  /// attempt (outcome.error says how): a retryable failure of the attempt.
+  bool crashed = false;
+  /// No attempt could start (the worker pool is unusable): the job fails
+  /// with outcome.error and this does not count as an attempt.
+  bool refused = false;
+};
 
-/// Runs every job and returns results in job order. Never throws for
-/// per-job failures; see JobResult::ok / error.
+/// Runs attempt @p attempt (1-based) of jobs[@p index] on participant
+/// @p slot; no two calls share a slot concurrently.
+using AttemptTransport = std::function<TransportAttempt(
+    std::size_t index, std::uint32_t attempt, std::uint32_t slot)>;
+
+/// The job loop (see file comment) over @p participants slots of
+/// @p executor, the caller included. @p prefilled (from apply_journal) may
+/// carry already-final results flagged from_journal — those are reported
+/// but neither re-run nor re-journaled.
+std::vector<JobResult> run_jobs(const std::vector<DiscoveryJob>& jobs,
+                                const FleetOptions& options,
+                                std::vector<JobResult> prefilled,
+                                exec::Executor& executor,
+                                std::uint32_t participants,
+                                const AttemptTransport& transport);
+
+/// Runs every job in this process and returns results in job order. Never
+/// throws for per-job failures; see JobResult::ok / error.
 std::vector<JobResult> run_sweep(const std::vector<DiscoveryJob>& jobs,
-                                 const SchedulerOptions& options = {});
+                                 const SchedulerOptions& options = {},
+                                 std::vector<JobResult> prefilled = {});
 
 }  // namespace mt4g::fleet

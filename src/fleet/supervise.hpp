@@ -1,67 +1,54 @@
-// Process-isolated fleet supervisor — crash containment for discovery sweeps.
+// Process-isolated fleet runs — crash containment for discovery sweeps.
 //
-// run_supervised() is the multi-process sibling of run_sweep(): it spawns
-// SupervisorOptions::procs worker processes (worker_argv, normally the same
-// binary's hidden `fleet-worker` entry), assigns jobs over the proto.hpp
-// line protocol, and folds every way a worker can die — nonzero exit, fatal
-// signal, EOF mid-job, garbage on the pipe, missed heartbeat — into the SAME
-// bounded retry budget exceptions and timeouts use. An orphaned job re-enters
-// the queue on a respawned worker; a job that keeps killing its workers fails
-// with JobResult::crashed after RetryPolicy::max_attempts, and the sweep
-// carries on. A broken worker can never take the coordinator down.
+// run_supervised() is the worker-process transport of the one fleet job loop
+// (scheduler.hpp run_jobs): claiming, cancel and fail-fast skips, journal
+// replay, the result cache, retries with backoff, classification, journal
+// appends and on_result all happen there, exactly as in run_sweep(). What
+// this transport adds is where an attempt runs: each participant slot owns
+// one worker process (worker_argv, normally the same binary's hidden
+// `fleet-worker` entry), spawned on the slot's first attempt. An attempt
+// writes one job assignment (proto.hpp line protocol) and blocks on that
+// worker's pipe until its done or failed line.
+//
+// Crash containment: EOF, a garbage line, or silence longer than
+// heartbeat_timeout_seconds after the assignment is a crash of that attempt.
+// The slot kills and reaps the worker, the attempt counts against the same
+// RetryPolicy budget exceptions and timeouts use (JobResult::worker_crashes,
+// and JobResult::crashed when it was the final attempt), and the next attempt
+// respawns. A worker that dies before its ready line is an idle death: never
+// charged to a job, but after 3 × procs of them the pool is unusable and the
+// remaining jobs fail with "worker pool unusable". A broken worker can never
+// take the coordinator down.
 //
 // Determinism contract (gated by tests/test_fleet_supervise.cpp): results
 // are slot-indexed by job order, workers make exactly one attempt per
 // assignment, and every attempt rebuilds its Gpu from the job spec — so the
-// result vector, and hence the aggregate report, is byte-identical for every
-// procs × sweep_threads combination, crash-healed runs included.
+// result vector, and hence the aggregate report, is byte-identical to
+// run_sweep()'s for every procs × sweep_threads combination, crash-healed
+// runs included.
 //
-// Crash-safe progress: with SupervisorOptions::journal armed, every final
-// job outcome is fsync'd to the run journal before the sweep proceeds; after
-// a coordinator kill -9, --resume prefills journaled jobs (journal.hpp) and
-// run_supervised() only schedules the remainder.
-//
-// Graceful stop: when *cancel turns true (the CLI's SIGINT/SIGTERM handler)
-// the coordinator stops assigning, lets in-flight jobs finish, records the
-// queue as skipped, reaps every worker, and returns — journal and cache
-// flushed as usual, so a cancelled run resumes cleanly too.
+// Slots block on their pipes, so they run on a dedicated executor of
+// procs - 1 threads plus the caller, never on the shared pool; a run whose
+// jobs are all journal replays starts no thread and no worker. Teardown
+// (shutdown line, stdin EOF, a short grace period, then SIGKILL) reaps every
+// worker however the run ends, cancelled runs included.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "fleet/cache.hpp"
 #include "fleet/job.hpp"
-#include "fleet/journal.hpp"
 #include "fleet/scheduler.hpp"
 
 namespace mt4g::fleet {
 
-struct SupervisorOptions {
-  /// Worker processes to keep alive while work remains; min 1.
+/// The worker-process transport's options.
+struct SupervisorOptions : FleetOptions {
+  /// Worker processes, one per participant slot; min 1.
   std::uint32_t procs = 2;
   /// Worker command line, argv[0] first (e.g. {"./mt4g_cli", "fleet-worker"}).
   std::vector<std::string> worker_argv;
-  /// Optional shared result cache — probed before jobs are queued and filled
-  /// as reports come back. Only the coordinator touches it; workers stay
-  /// cache-blind, so concurrent-process safety is the cache file's problem
-  /// exactly once (see cache.hpp locking).
-  ResultCache* cache = nullptr;
-  /// Optional crash-safe progress log; every final outcome is appended +
-  /// fsync'd before the next assignment.
-  RunJournal* journal = nullptr;
-  /// Per finished job, from the coordinator thread, in completion order.
-  std::function<void(const JobResult& result, std::size_t done,
-                     std::size_t total)>
-      on_result;
-  FleetProgress* progress = nullptr;
-  /// One budget for exceptions, timeouts, AND worker deaths.
-  RetryPolicy retry;
-  /// Graceful-stop flag (see file comment). nullptr = never cancelled.
-  const std::atomic<bool>* cancel = nullptr;
   /// A worker silent for longer than this (no line of any kind; heartbeats
   /// count) is presumed dead: killed, reaped, and its job crash-contained.
   /// <= 0 disables the liveness check. Must comfortably exceed the worker's

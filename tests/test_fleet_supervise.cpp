@@ -1,16 +1,23 @@
 // Process-isolated supervisor (fleet/supervise.hpp), driven against the real
 // worker binary (`mt4g_cli fleet-worker`): byte-identical results across the
 // procs x sweep_threads grid, crash containment folded into the retry
-// budget, crash-exhaustion reporting, garbage-worker containment, and the
-// supervised journal's no-duplicate-append discipline.
+// budget, crash-exhaustion reporting, garbage-worker containment, the
+// supervised journal's no-duplicate-append discipline, and job-by-job parity
+// of the worker-process and in-process transports of the one job loop.
 //
 // The worker binary is resolved as ./mt4g_cli relative to the ctest working
 // directory (the build tree, where examples/ binaries land). When it is not
 // there — e.g. a bare library build — the process-spawning tests skip.
+#include <sys/wait.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -69,6 +76,17 @@ std::string write_crash_plan(TempFile& file, const std::string& match,
   out << R"({"version": 1, "seed": 0, "rules": [{"site": "fleet.worker.job",)"
       << R"( "kind": "crash", "match": ")" << match << R"(", "skip": 0,)"
       << R"( "count": )" << count << "}]}";
+  return file.path();
+}
+
+/// Writes a fault plan whose @p site throws on the first @p count visits
+/// (0 = every visit) of every job whose key contains @p match.
+std::string write_throw_plan(TempFile& file, const std::string& site,
+                             const std::string& match, std::uint32_t count) {
+  std::ofstream out(file.path());
+  out << R"({"version": 1, "seed": 0, "rules": [{"site": ")" << site
+      << R"(", "kind": "throw", "match": ")" << match << R"(", "count": )"
+      << count << "}]}";
   return file.path();
 }
 
@@ -271,6 +289,191 @@ TEST(FleetSupervise, JournalRecordsEveryOutcomeExactlyOnce) {
   }
   EXPECT_EQ(count_lines(), jobs.size())
       << "replayed results must not be re-journaled";
+}
+
+TEST(FleetSupervise, FailFastSkipsUnclaimedJobs) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  const auto jobs = test_jobs();  // TestGPU-NV x 2 seeds, then TestGPU-AMD
+  ASSERT_EQ(jobs[0].model, "TestGPU-NV");
+  TempFile plan_file("fail_fast_plan.json");
+  write_throw_plan(plan_file, "fleet.worker.job", "model=TestGPU-NV", 0);
+
+  FleetProgress progress;
+  SupervisorOptions options = supervised(1);
+  options.worker_argv.push_back("--fault-plan");
+  options.worker_argv.push_back(plan_file.path());
+  options.retry.max_attempts = 1;
+  options.fail_fast = true;
+  options.progress = &progress;
+  const auto results = run_supervised(jobs, options);
+  ASSERT_EQ(results.size(), jobs.size());
+  EXPECT_FALSE(results[0].ok);
+  EXPECT_FALSE(results[0].skipped);
+  EXPECT_EQ(results[0].attempts, 1u);
+  for (std::size_t i = 1; i < results.size(); ++i) {
+    EXPECT_TRUE(results[i].skipped) << results[i].job.key();
+    EXPECT_FALSE(results[i].ok);
+    EXPECT_EQ(results[i].attempts, 0u);
+    EXPECT_NE(results[i].error.find("fail-fast"), std::string::npos)
+        << results[i].error;
+  }
+  EXPECT_EQ(progress.skipped.load(), jobs.size() - 1);
+}
+
+TEST(FleetSupervise, DeadJournalFinishesTheSweepAndReapsEveryWorker) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  TempFile journal_file("closed_journal.jsonl");
+  const auto jobs = test_jobs();
+  RunJournal journal = RunJournal::open(journal_file.path());
+  journal.close();  // every append now throws
+
+  const auto expect_complete = [&](const std::vector<JobResult>& results,
+                                   const char* transport) {
+    ASSERT_EQ(results.size(), jobs.size()) << transport;
+    for (const auto& result : results) {
+      EXPECT_TRUE(result.ok)
+          << transport << " " << result.job.key() << ": " << result.error;
+    }
+  };
+
+  std::vector<JobResult> results;
+  SchedulerOptions threads;
+  threads.workers = 2;
+  threads.journal = &journal;
+  ASSERT_NO_THROW(results = run_sweep(jobs, threads));
+  expect_complete(results, "threads");
+
+  SupervisorOptions procs = supervised(2);
+  procs.journal = &journal;
+  ASSERT_NO_THROW(results = run_supervised(jobs, procs));
+  expect_complete(results, "procs");
+
+  EXPECT_NE(journal.error().find("closed journal"), std::string::npos)
+      << journal.error();
+  int status = 0;
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1) << "a worker outlived the run";
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(FleetSupervise, BothTransportsAgreeJobByJob) {
+  if (!worker_binary_available()) GTEST_SKIP() << "no ./mt4g_cli in cwd";
+  SweepPlan plan;
+  plan.models = {"TestGPU-NV", "TestGPU-AMD"};
+  plan.seed_count = 2;
+  const auto clean_jobs = expand_jobs(plan);
+  const auto clean = run_sweep(clean_jobs);
+  for (const auto& result : clean) ASSERT_TRUE(result.ok) << result.error;
+
+  // 0: replayed from the journal, 1: served by the cache, 2: healed after
+  // one injected failure, 3: a malformed job that fails permanently.
+  const std::vector<DiscoveryJob> jobs = {clean_jobs[0], clean_jobs[2],
+                                          clean_jobs[1], [&] {
+                                            DiscoveryJob bad = clean_jobs[3];
+                                            bad.mig_profile = "no-such";
+                                            return bad;
+                                          }()};
+  ASSERT_EQ(jobs[2].model, "TestGPU-NV");
+  std::map<std::string, JournalEntry> journaled;
+  journaled[jobs[0].key()] = JournalEntry{true, clean[0].report, ""};
+  TempFile plan_file("parity_plan.json");
+  write_throw_plan(plan_file, "fleet.job.attempt", "model=TestGPU-NV", 1);
+
+  using Calls = std::vector<std::pair<std::size_t, std::size_t>>;
+  const auto run = [&](bool in_process, Calls& calls) {
+    ResultCache cache;
+    cache.put(jobs[1], clean[2].report);
+    std::vector<JobResult> prefilled;
+    apply_journal(jobs, journaled, prefilled);
+    FleetOptions common;
+    common.cache = &cache;
+    common.retry.max_attempts = 3;
+    common.on_result = [&calls](const JobResult&, std::size_t done,
+                                std::size_t total) {
+      calls.emplace_back(done, total);
+    };
+    if (in_process) {
+      ScopedFaultPlan armed(load_fault_plan_file(plan_file.path()));
+      SchedulerOptions options;
+      static_cast<FleetOptions&>(options) = common;
+      options.workers = 2;
+      return run_sweep(jobs, options, std::move(prefilled));
+    }
+    SupervisorOptions options = supervised(2);
+    static_cast<FleetOptions&>(options) = common;
+    options.worker_argv.push_back("--fault-plan");
+    options.worker_argv.push_back(plan_file.path());
+    return run_supervised(jobs, options, std::move(prefilled));
+  };
+  Calls thread_calls;
+  Calls proc_calls;
+  const auto threads = run(true, thread_calls);
+  const auto procs = run(false, proc_calls);
+
+  ASSERT_EQ(threads.size(), jobs.size());
+  ASSERT_EQ(procs.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobResult& t = threads[i];
+    const JobResult& p = procs[i];
+    SCOPED_TRACE(jobs[i].key());
+    EXPECT_EQ(t.ok, p.ok);
+    EXPECT_EQ(t.attempts, p.attempts);
+    EXPECT_EQ(t.retried, p.retried);
+    EXPECT_EQ(t.timed_out, p.timed_out);
+    EXPECT_EQ(t.skipped, p.skipped);
+    EXPECT_EQ(t.from_cache, p.from_cache);
+    EXPECT_EQ(t.from_journal, p.from_journal);
+    EXPECT_EQ(t.error, p.error);
+    if (t.ok && p.ok) {
+      EXPECT_EQ(core::to_json_string(t.report),
+                core::to_json_string(p.report));
+    }
+  }
+  // Each row means what the setup says it does.
+  EXPECT_TRUE(threads[0].from_journal);
+  EXPECT_TRUE(threads[1].from_cache);
+  EXPECT_TRUE(threads[2].ok);
+  EXPECT_EQ(threads[2].attempts, 2u);
+  EXPECT_FALSE(threads[3].ok);
+  EXPECT_EQ(threads[3].attempts, 1u);
+
+  const Calls expected = {{1, 4}, {2, 4}, {3, 4}, {4, 4}};
+  EXPECT_EQ(thread_calls, expected);
+  EXPECT_EQ(proc_calls, expected);
+}
+
+TEST(FleetSupervise, FullyJournaledRunStartsNoWorkerAndNoThread) {
+  const auto jobs = test_jobs();
+  std::map<std::string, JournalEntry> journaled;
+  for (const auto& job : jobs) journaled[job.key()] = JournalEntry{};
+  std::vector<JobResult> prefilled;
+  ASSERT_TRUE(apply_journal(jobs, journaled, prefilled).empty());
+
+  const auto thread_count = [] {
+    std::error_code ec;
+    std::size_t threads = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task", ec)) {
+      (void)entry;
+      ++threads;
+    }
+    return threads;
+  };
+  // A worker that ever started would leave this marker behind.
+  TempFile marker("spawned_marker");
+  SupervisorOptions options;
+  options.procs = 4;
+  options.worker_argv = {"/bin/sh", "-c", "touch " + marker.path()};
+  const std::size_t threads_before = thread_count();
+  std::size_t threads_during = 0;
+  options.on_result = [&](const JobResult&, std::size_t, std::size_t) {
+    threads_during = std::max(threads_during, thread_count());
+  };
+  const auto results = run_supervised(jobs, options, std::move(prefilled));
+  ASSERT_EQ(results.size(), jobs.size());
+  for (const auto& result : results) EXPECT_TRUE(result.from_journal);
+  EXPECT_EQ(threads_during, threads_before);
+  EXPECT_FALSE(std::filesystem::exists(marker.path()));
 }
 
 }  // namespace
