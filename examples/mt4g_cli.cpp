@@ -401,9 +401,6 @@ const char kFleetUsage[] =
     "                               discovery stage graph (default 1; both\n"
     "                               knobs leave reports byte-identical, and\n"
     "                               all jobs' stages share one executor)\n"
-    "  --no-subsweep-chunking       run each warm chain as one serial unit\n"
-    "                               instead of batched sub-sweep chunks;\n"
-    "                               report bytes are identical either way\n"
     "  --no-mig                     skip MIG partitions of MIG-capable GPUs\n"
     "  --retries N                  extra attempts per job after a transient\n"
     "                               failure (default 2; malformed jobs never\n"
@@ -448,7 +445,6 @@ int run_fleet(const char* argv0, int argc, char** argv) {
   bool progress = false;
   std::uint32_t sweep_threads = 1;
   std::uint32_t bench_threads = 1;
-  bool subsweep_chunking = true;
   std::uint32_t retries = 2;
   std::uint32_t procs = 0;  // 0 = in-process threads, >= 1 = worker processes
   std::uint32_t worker_heartbeat_ms = 500;
@@ -503,8 +499,6 @@ int run_fleet(const char* argv0, int argc, char** argv) {
       sweep_threads = count_value(1);
     } else if (arg == "--bench-threads") {
       bench_threads = count_value(1);
-    } else if (arg == "--no-subsweep-chunking") {
-      subsweep_chunking = false;
     } else if (arg == "--no-mig") {
       plan.include_mig = false;
     } else if (arg == "--retries") {
@@ -635,12 +629,11 @@ int run_fleet(const char* argv0, int argc, char** argv) {
     };
   }
 
-  if ((sweep_threads > 1 || bench_threads > 1 || !subsweep_chunking) &&
+  if ((sweep_threads > 1 || bench_threads > 1) &&
       plan.option_variants.empty()) {
     core::DiscoverOptions options;
     options.sweep_threads = sweep_threads;
     options.bench_threads = bench_threads;
-    options.subsweep_chunking = subsweep_chunking;
     plan.option_variants.push_back(options);
   }
 
@@ -865,7 +858,6 @@ int main(int argc, char** argv) {
   discover_options.measure_compute = options.measure_flops;
   discover_options.sweep_threads = options.sweep_threads;
   discover_options.bench_threads = options.bench_threads;
-  discover_options.subsweep_chunking = options.subsweep_chunking;
 
   const sim::GpuSpec spec =
       core::apply_cache_config(*model, options.cache_config);

@@ -73,8 +73,6 @@ ParseResult parse(int argc, const char* const* argv) {
                                   "' (expected 1..1024)");
         }
       }
-    } else if (arg == "--no-subsweep-chunking") {
-      result.options.subsweep_chunking = false;
     } else if (arg == "--cache-config") {
       if (auto v = need_value(i, arg)) {
         if (*v != "PreferL1" && *v != "PreferShared" && *v != "PreferEqual") {
@@ -118,9 +116,6 @@ Usage: mt4g [options]
   --bench-threads <n>    concurrent benchmarks of the discovery stage graph
                          (default 1; reports are byte-identical for every
                          sweep/bench thread combination)
-  --no-subsweep-chunking run each warm chain (size sweeps, line grids) as one
-                         serial unit instead of batched sub-sweep chunks;
-                         report bytes are identical either way
   --cache-config <mode>  PreferL1 | PreferShared | PreferEqual (default PreferL1)
   --out <dir>            output directory for report files (default .)
   --trace <file>         write a Chrome trace-event JSON (open in Perfetto or

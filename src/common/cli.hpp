@@ -28,9 +28,6 @@ struct Options {
   std::vector<std::string> only;
   std::uint32_t sweep_threads = 1;    ///< --sweep-threads: parallel sweeps
   std::uint32_t bench_threads = 1;    ///< --bench-threads: concurrent stages
-  /// --no-subsweep-chunking: run each warm chain as one serial unit instead
-  /// of batched sub-sweep chunks (execution knob; report bytes identical).
-  bool subsweep_chunking = true;
   std::string cache_config = "PreferL1";  ///< L1/Shared split policy
   std::string output_dir = ".";       ///< where -j/-p/-g/-o files land
   /// --trace FILE: write a Chrome trace-event JSON of the run (Perfetto /

@@ -137,7 +137,7 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
 
   // --- Phases 2-4: sweep, outlier screening (with widening), K-S. ----------
   //
-  // Incremental engine: rows are memoized by array size and the step is
+  // Incremental engine: rows are cached by array size and the step is
   // frozen at the initial span, so a widening extends the same size grid and
   // only the newly exposed edge points (plus spike-flagged points, which get
   // fresh data via a bumped resample index) are measured — every clean row

@@ -14,7 +14,7 @@
 // — the same observable, pushed to its exact edge.
 //
 // The sweep (phases 2-3 and the phase-5 refinement) runs on an incremental
-// engine: every measured sweep point is memoized by array size, widening
+// engine: every measured sweep point is cached by array size, widening
 // keeps the original step so widened bounds land on the same size grid, and
 // an attempt re-measures only the newly exposed edge points plus the points
 // stats::screen_outliers flagged as spikes — clean rows are reused as-is.
@@ -76,7 +76,7 @@ struct SizeBenchOptions {
   /// regardless of the host's core count.
   exec::Executor* sweep_executor = nullptr;
   /// Replica + chase-memo cache shared with the caller (the collectors pass
-  /// one per discovery, so benchmarks reuse replicas and memoized chases
+  /// one per discovery, so benchmarks reuse replicas and memo results
   /// across each other); nullptr = a benchmark-local pool.
   runtime::ReplicaPool* chase_pool = nullptr;
   /// Seed the phase-6 bisection bounds from the sweep rows' prefix hit

@@ -1,6 +1,7 @@
 #include "core/collector.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/pipeline/runner.hpp"
 #include "exec/executor.hpp"
@@ -40,6 +41,10 @@ TopologyReport discover(sim::Gpu& gpu, const DiscoverOptions& options) {
     exec_before = executor_of(options).stats();
     start_ns = obs::monotonic_ns();
   }
+  // Work outside the stage graph traces as graph.setup / graph.teardown;
+  // the teardown span outlives `plan`, so freeing the plan counts too.
+  std::optional<obs::SpanGuard> teardown;
+  std::optional<obs::SpanGuard> setup(std::in_place, "graph.setup");
 
   TopologyReport report;
   const runtime::DeviceProp prop = runtime::get_device_prop(gpu);
@@ -78,7 +83,9 @@ TopologyReport discover(sim::Gpu& gpu, const DiscoverOptions& options) {
   pipeline::DiscoveryPlan plan = gpu.spec().vendor == sim::Vendor::kNvidia
                                      ? pipeline::nvidia_stages(gpu, options)
                                      : pipeline::amd_stages(gpu, options);
+  setup.reset();
   pipeline::run_graph(gpu, plan, options, report);
+  teardown.emplace("graph.teardown");
 
   if (attribute) {
     obs::Metrics& metrics = obs::Metrics::instance();

@@ -53,13 +53,6 @@ struct DiscoverOptions {
   /// stage-declaration order — so neither knob is part of
   /// fleet::DiscoveryJob::key().
   std::uint32_t bench_threads = 1;
-  /// Split warm chains (size sweeps, line grids) into independently warmed
-  /// sub-sweep chunks that fan out across sweep_threads (see
-  /// runtime::ReplicaPool::warm_chunk_points). Purely an execution knob like
-  /// the thread counts: reports are byte-identical with chunking on or off,
-  /// so it is not part of fleet::DiscoveryJob::key(). Off means each warm
-  /// chain runs as one serial unit.
-  bool subsweep_chunking = true;
   /// The one executor of this discovery: it runs the stages (bench_threads
   /// > 1) and every stage's chase batches (sweep_threads > 1); nullptr =
   /// exec::shared_executor(). Tests inject a dedicated pool to force real

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <exception>
 #include <functional>
+#include <optional>
 
 #include "common/fault.hpp"
 #include "exec/executor.hpp"
@@ -78,7 +79,6 @@ struct GraphRun {
       record.pool.reset_ns += obs::monotonic_ns() - reset_start;
     }
     record.pool.replica_cache = &replicas;
-    record.pool.warm_chunk_points = options.subsweep_chunking ? 8 : 0;
     StageContext ctx{substrate, options, state, record.pool};
     graph.stages[i].run(ctx);
     record.booking = ctx.booking;
@@ -174,6 +174,12 @@ void run_concurrent(GraphRun& run,
 
 void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
                const DiscoverOptions& options, TopologyReport& report) {
+  // Setup and teardown trace under spans of their own, so the stage spans
+  // plus these account for the whole graph run. The teardown span is
+  // declared before `run`, so it closes only after the stage records and
+  // the recycled forks are freed.
+  std::optional<obs::SpanGuard> teardown;
+  std::optional<obs::SpanGuard> setup(std::in_place, "graph.setup");
   // prune() analyses the unpruned graph internally (validating it in the
   // process); one analyze() of the pruned graph covers everything below.
   prune(plan.graph, options.only);
@@ -191,6 +197,7 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
       run.records[i].pool.upstream.push_back(&run.records[a].pool);
     }
   }
+  setup.reset();
 
   if (options.bench_threads <= 1 || n <= 1) {
     run_serial(run, deps, order);
@@ -200,6 +207,7 @@ void run_graph(sim::Gpu& gpu, DiscoveryPlan& plan,
                                    : exec::shared_executor();
     run_concurrent(run, deps, options.bench_threads, executor);
   }
+  teardown.emplace("graph.teardown");
 
   for (std::size_t i = 0; i < n; ++i) {
     if (run.errors[i]) std::rethrow_exception(run.errors[i]);

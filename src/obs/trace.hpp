@@ -2,8 +2,9 @@
 //
 // All other telemetry in the tool is simulated-cycle attribution (where the
 // simulated GPU spends cycles); the tracer records where the *host* spends
-// wall-clock time — discovery -> stage -> chase batch -> replica fork/reset /
-// memo resolve / timed pass — so host-overhead-bound stages are visible.
+// wall-clock time — discovery -> graph setup / stage / graph teardown ->
+// chase batch -> replica fork/reset / memo resolve / timed pass — so
+// host-overhead-bound stages are visible.
 //
 // Contract: tracing is strictly out of band. Span sites never read a
 // recorded timestamp back into any computation, so a report is byte-identical

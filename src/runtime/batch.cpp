@@ -8,6 +8,24 @@
 #include "obs/trace.hpp"
 
 namespace mt4g::runtime {
+namespace {
+
+/// The one fork site of the chase engine. The fork seed is irrelevant:
+/// every user resets the replica before use.
+sim::Gpu fork_replica(const sim::Gpu& owner) {
+  const obs::SpanGuard span("replica.fork");
+  const bool timed = obs::metrics_enabled();
+  const std::uint64_t start_ns = timed ? obs::monotonic_ns() : 0;
+  sim::Gpu replica = owner.fork(owner.seed());
+  if (timed) {
+    obs::Metrics::instance().observe(
+        "replica.fork_ns",
+        static_cast<double>(obs::monotonic_ns() - start_ns));
+  }
+  return replica;
+}
+
+}  // namespace
 
 sim::Gpu ReplicaCache::acquire(const sim::Gpu& owner) {
   {
@@ -22,17 +40,7 @@ sim::Gpu ReplicaCache::acquire(const sim::Gpu& owner) {
       return replica;
     }
   }
-  // The fork seed is irrelevant: every user resets the replica before use.
-  const obs::SpanGuard span("replica.fork");
-  const bool timed = obs::metrics_enabled();
-  const std::uint64_t start_ns = timed ? obs::monotonic_ns() : 0;
-  sim::Gpu replica = owner.fork(owner.seed());
-  if (timed) {
-    obs::Metrics::instance().observe(
-        "replica.fork_ns",
-        static_cast<double>(obs::monotonic_ns() - start_ns));
-  }
-  return replica;
+  return fork_replica(owner);
 }
 
 void ReplicaCache::release(sim::Gpu&& replica) {
@@ -147,9 +155,10 @@ std::uint64_t timed_steps_of(const PChaseConfig& config) {
 /// only as its final member, where no restore-after is needed.
 constexpr std::uint64_t kPrefixShareCap = 4096;
 
-/// Hard cap on numeric walk records per key — a runaway-loop backstop far
-/// above any real sweep grid, not a tuning knob.
-constexpr std::size_t kWarmLedgerCap = 1024;
+/// Chain members per chunk: the unit of sub-sweep parallelism (each chunk
+/// re-warms independently and fans out across sweep threads) and the
+/// partition a batch's serial depth is priced over.
+constexpr std::size_t kChunkPoints = 8;
 
 /// Records a chain's longest warm walk in the pool ledger. Every distinct
 /// walk length gets a numeric record, kept sorted by steps: the booking
@@ -159,7 +168,10 @@ constexpr std::size_t kWarmLedgerCap = 1024;
 /// costs. The numeric fields are recorded unconditionally (booking depends
 /// on them and must be engine-independent); the snapshot is dropped when it
 /// would exceed the byte budget, which only costs execution speed, never
-/// correctness.
+/// correctness. The record count needs no cap of its own: a batch adds at
+/// most one record per chain, every chain holds at least one memo miss, and
+/// every miss stays in the same pool's memo, so the ledger never outgrows
+/// the memo.
 void insert_ledger_entry(ReplicaPool& pool, const WarmKey& key,
                          WarmStateEntry&& entry) {
   auto& entries = pool.warm_ledger[key];
@@ -183,14 +195,6 @@ void insert_ledger_entry(ReplicaPool& pool, const WarmKey& key,
   }
   pool.warm_state_bytes = pool.warm_state_bytes - old_bytes + new_bytes;
   *slot = std::move(entry);
-  if (entries.size() > kWarmLedgerCap) {
-    // Deterministic eviction: drop the second-smallest walk. The floor and
-    // the long walks (where warm deltas are expensive) survive.
-    if (entries[1].has_state) {
-      pool.warm_state_bytes -= entries[1].state.byte_size();
-    }
-    entries.erase(entries.begin() + 1);
-  }
 }
 
 }  // namespace
@@ -220,7 +224,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   ReplicaPool& pool = options.pool ? *options.pool : local_pool;
   if (pool.epoch != gpu.path_epoch()) {
     // The owning Gpu rebuilt caches: replicas hold the old geometry, and
-    // memoized results / warm states were measured against it.
+    // memo results / warm states were measured against it.
     pool.replicas.clear();
     pool.memo.clear();
     pool.warm_ledger.clear();
@@ -242,24 +246,22 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     const obs::SpanGuard memo_span("memo.resolve");
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const std::uint64_t hash = chase_noise_seed(gpu.seed(), specs[i]);
-      if (options.memoize) {
-        if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
-          results[i] = *hit;
-          results[i].total_cycles = 0;
-          results[i].from_cache = true;
-          ++pool.memo_stats.hits;
-          continue;
-        }
-        auto& candidates = first_seen[hash];
-        const auto earlier = std::find_if(
-            candidates.begin(), candidates.end(),
-            [&](std::size_t j) { return specs[j] == specs[i]; });
-        if (earlier != candidates.end()) {
-          copy_from[i] = static_cast<std::ptrdiff_t>(*earlier);
-          continue;
-        }
-        candidates.push_back(i);
+      if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
+        results[i] = *hit;
+        results[i].total_cycles = 0;
+        results[i].from_cache = true;
+        ++pool.memo_stats.hits;
+        continue;
       }
+      auto& candidates = first_seen[hash];
+      const auto earlier = std::find_if(
+          candidates.begin(), candidates.end(),
+          [&](std::size_t j) { return specs[j] == specs[i]; });
+      if (earlier != candidates.end()) {
+        copy_from[i] = static_cast<std::ptrdiff_t>(*earlier);
+        continue;
+      }
+      candidates.push_back(i);
       pending.push_back(i);
       pending_hash.push_back(hash);
     }
@@ -268,20 +270,28 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   if (!pending.empty()) {
     const PChaseEngine engine = pchase_engine();
 
-    // ---- Warm-chain planning (engine-independent) -------------------------
-    // Group warm-compatible plain chases by WarmKey and sort each chain by
-    // walk length (ties stay in spec order). Chain membership and order are
-    // a pure function of the batch contents, so the booking derived from
-    // them is scheduling-independent.
+    // ---- Chunk plan (engine-independent) ----------------------------------
+    // Group warm-compatible plain chases by WarmKey, sort each chain by walk
+    // length (ties stay in spec order), and split it into chunks of at most
+    // kChunkPoints members. The plan is a pure function of the batch
+    // contents, and it is the one partition both the compiled engine
+    // executes and the serial depth is priced over.
     struct Member {
       std::size_t k = 0;  ///< index into pending
       std::uint64_t steps = 0;
     };
+    struct Chunk {
+      std::vector<std::size_t> ks;  ///< pending indices, chain order
+      const WarmStateEntry* restore = nullptr;  ///< best ledger resume point
+      bool save = false;     ///< last chunk: captures the chain's end state
+      WarmStateEntry saved;  ///< that end state (compiled engine only)
+    };
     struct Chain {
       std::vector<Member> members;
-      std::size_t save_unit = SIZE_MAX;  ///< unit that captures the end state
+      std::vector<Chunk> chunks;
     };
     std::map<WarmKey, Chain> chains;
+    std::vector<char> in_chain(pending.size(), 0);
     for (std::size_t k = 0; k < pending.size(); ++k) {
       const ChaseSpec& spec = specs[pending[k]];
       const PChaseConfig& config = spec.config;
@@ -296,108 +306,80 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
                         config.where.sm,    config.where.core};
       chains[key].members.push_back(
           {k, config.array_bytes / config.stride_bytes});
+      in_chain[k] = 1;
     }
     for (auto& [key, chain] : chains) {
       std::stable_sort(
           chain.members.begin(), chain.members.end(),
           [](const Member& a, const Member& b) { return a.steps < b.steps; });
+      Chunk current;
+      for (const Member& m : chain.members) {
+        current.ks.push_back(m.k);
+        const bool bounded =
+            timed_steps_of(specs[pending[m.k]].config) <= kPrefixShareCap;
+        // An unbounded (full-pass) timed run dirties state beyond any
+        // cheap snapshot, so it closes its chunk as the final member.
+        if (!bounded || current.ks.size() >= kChunkPoints) {
+          chain.chunks.push_back(std::move(current));
+          current = Chunk{};
+        }
+      }
+      if (!current.ks.empty()) chain.chunks.push_back(std::move(current));
+      // The last chunk reaches the chain's longest walk: capture its warm
+      // state there so the next batch can resume instead of re-warming.
+      chain.chunks.back().save = true;
+      // Resume points: the longest ledger walk not exceeding the chunk's
+      // first member. Ledger entries are immutable during execution (the
+      // update below happens after the join), so the pointers stay valid.
+      const auto ledger = pool.warm_ledger.find(key);
+      if (ledger == pool.warm_ledger.end()) continue;
+      for (Chunk& chunk : chain.chunks) {
+        const PChaseConfig& first = specs[pending[chunk.ks.front()]].config;
+        const std::uint64_t first_steps =
+            first.array_bytes / first.stride_bytes;
+        for (const WarmStateEntry& e : ledger->second) {
+          if (e.has_state && e.steps <= first_steps &&
+              (chunk.restore == nullptr || e.steps > chunk.restore->steps)) {
+            chunk.restore = &e;
+          }
+        }
+      }
     }
 
     // ---- Execution units --------------------------------------------------
-    // A unit is what one worker slot runs back-to-back on one replica:
-    // either a cold singleton (the classic reset-then-run path) or a chunk
-    // of one chain that warms incrementally and snapshot/restores around
-    // each bounded timed pass. Splitting chains into chunks is what lets a
-    // single monolithic sweep fan out across --sweep-threads; each chunk
+    // A unit is what one worker slot runs back-to-back on one replica. The
+    // compiled engine runs each chunk as one unit that warms incrementally
+    // and snapshot/restores around each bounded timed pass; each chunk
     // re-warms independently (from the best ledger snapshot), trading some
     // redundant warm work for parallelism without touching results.
+    // Everything else (non-chain shapes, resamples, and every chain member
+    // under the reference engine) runs as a cold singleton.
     struct Unit {
-      std::vector<std::size_t> ks;  ///< pending indices, chain order
-      bool chunk = false;
-      const WarmStateEntry* restore = nullptr;
-      bool save = false;
+      Chunk* chunk = nullptr;  ///< nullptr = cold singleton
+      std::size_t k = 0;       ///< the singleton's pending index
     };
     std::vector<Unit> units;
-    std::vector<char> in_chunk(pending.size(), 0);
-    if (engine == PChaseEngine::kCompiled) {
+    const bool chunked = engine == PChaseEngine::kCompiled;
+    if (chunked) {
       for (auto& [key, chain] : chains) {
-        const std::size_t first_unit = units.size();
-        Unit current;
-        current.chunk = true;
-        for (const Member& m : chain.members) {
-          current.ks.push_back(m.k);
-          in_chunk[m.k] = 1;
-          const bool bounded =
-              timed_steps_of(specs[pending[m.k]].config) <= kPrefixShareCap;
-          // An unbounded (full-pass) timed run dirties state beyond any
-          // cheap snapshot, so it closes its chunk as the final member.
-          if (!bounded || (pool.warm_chunk_points != 0 &&
-                           current.ks.size() >= pool.warm_chunk_points)) {
-            units.push_back(std::move(current));
-            current = Unit{};
-            current.chunk = true;
-          }
-        }
-        if (!current.ks.empty()) units.push_back(std::move(current));
-        // Resume points: the longest ledger walk not exceeding the chunk's
-        // first member. Ledger entries are immutable during execution (the
-        // update below happens after the join), so the pointers stay valid.
-        const auto ledger = pool.warm_ledger.find(key);
-        if (ledger != pool.warm_ledger.end()) {
-          for (std::size_t u = first_unit; u < units.size(); ++u) {
-            const std::uint64_t first_steps =
-                specs[pending[units[u].ks.front()]].config.array_bytes /
-                specs[pending[units[u].ks.front()]].config.stride_bytes;
-            const WarmStateEntry* best = nullptr;
-            for (const WarmStateEntry& e : ledger->second) {
-              if (e.has_state && e.steps <= first_steps &&
-                  (best == nullptr || e.steps > best->steps)) {
-                best = &e;
-              }
-            }
-            units[u].restore = best;
-          }
-        }
-        // The last unit reaches the chain's longest walk: capture its warm
-        // state there so the next batch can resume instead of re-warming.
-        units.back().save = true;
-        chain.save_unit = units.size() - 1;
+        for (Chunk& chunk : chain.chunks) units.push_back({&chunk, 0});
       }
     }
-    // Everything else (non-chain shapes, resamples, the reference engine)
-    // runs as a cold singleton.
     for (std::size_t k = 0; k < pending.size(); ++k) {
-      if (in_chunk[k]) continue;
-      Unit unit;
-      unit.ks.push_back(k);
-      units.push_back(std::move(unit));
+      if (!chunked || !in_chain[k]) units.push_back({nullptr, k});
     }
 
     // One replica per participant slot; never more participants than units.
     const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
         std::max<std::uint32_t>(options.threads, 1), units.size()));
     while (pool.replicas.size() < workers) {
-      // The fork seed is irrelevant: every unit re-seeds its replica below.
-      // (ReplicaCache::acquire books its own replica.fork span when it has
-      // to fork instead of recycling.)
-      if (pool.replica_cache) {
-        pool.replicas.push_back(pool.replica_cache->acquire(gpu));
-      } else {
-        const obs::SpanGuard fork_span("replica.fork");
-        const bool timed = obs::metrics_enabled();
-        const std::uint64_t fork_start = timed ? obs::monotonic_ns() : 0;
-        pool.replicas.push_back(gpu.fork(gpu.seed()));
-        if (timed) {
-          obs::Metrics::instance().observe(
-              "replica.fork_ns",
-              static_cast<double>(obs::monotonic_ns() - fork_start));
-        }
-      }
+      pool.replicas.push_back(pool.replica_cache
+                                  ? pool.replica_cache->acquire(gpu)
+                                  : fork_replica(gpu));
     }
 
     // Per-slot scratch, merged single-threaded at the join.
     std::vector<std::uint64_t> warm_full(pending.size(), 0);
-    std::vector<WarmStateEntry> saved(units.size());
     std::vector<std::uint64_t> slot_reset_ns(workers, 0);
     std::vector<sim::PathSnapshot> slot_scratch(workers);
 
@@ -408,10 +390,10 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         const obs::SpanGuard reset_span("replica.reset");
         const std::uint64_t reset_start = obs::monotonic_ns();
         replica.flush_caches();
-        if (!unit.chunk) {
+        if (unit.chunk == nullptr) {
           // The memo key IS the noise-stream seed (both are the full spec
           // fold).
-          replica.reseed_noise(pending_hash[unit.ks.front()]);
+          replica.reseed_noise(pending_hash[unit.k]);
         }
         const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
         slot_reset_ns[slot] += reset_ns;
@@ -421,25 +403,27 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         }
       }
       const ScopedPChaseEngine scope(engine);  // workers default to kCompiled
-      if (!unit.chunk) {
-        const std::size_t index = pending[unit.ks.front()];
+      if (unit.chunk == nullptr) {
+        const std::size_t index = pending[unit.k];
         const obs::SpanGuard chase_span("chase.run");
         results[index] = run_chase(replica, specs[index]);
+        warm_full[unit.k] = results[index].warm_cycles;
         return;
       }
       // Warm-sharing chunk: one incremental warm walk, many timed passes.
-      const PChaseConfig& head = specs[pending[unit.ks.front()]].config;
+      Chunk& chunk = *unit.chunk;
+      const PChaseConfig& head = specs[pending[chunk.ks.front()]].config;
       const sim::AccessPath path =
           replica.compile_path(head.where, head.space, head.flags);
       std::uint64_t cur_steps = 0;
       std::uint64_t cum_warm = 0;
-      if (unit.restore != nullptr) {
-        replica.restore_path(path, unit.restore->state);
-        cur_steps = unit.restore->steps;
-        cum_warm = unit.restore->cum_warm_cycles;
+      if (chunk.restore != nullptr) {
+        replica.restore_path(path, chunk.restore->state);
+        cur_steps = chunk.restore->steps;
+        cum_warm = chunk.restore->cum_warm_cycles;
       }
-      for (std::size_t i = 0; i < unit.ks.size(); ++i) {
-        const std::size_t k = unit.ks[i];
+      for (std::size_t i = 0; i < chunk.ks.size(); ++i) {
+        const std::size_t k = chunk.ks[i];
         const std::size_t index = pending[k];
         const PChaseConfig& config = specs[index].config;
         const std::uint64_t steps = config.array_bytes / config.stride_bytes;
@@ -450,12 +434,10 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
           cur_steps = steps;
         }
         warm_full[k] = cum_warm;
-        const bool last = i + 1 == unit.ks.size();
-        if (last && unit.save) {
-          saved[u].steps = cur_steps;
-          saved[u].cum_warm_cycles = cum_warm;
-          replica.snapshot_path(path, saved[u].state);
-          saved[u].has_state = true;
+        const bool last = i + 1 == chunk.ks.size();
+        if (last && chunk.save) {
+          replica.snapshot_path(path, chunk.saved.state);
+          chunk.saved.has_state = true;
         }
         // Re-seeding here puts the timed pass at the exact stream position a
         // cold run would see: warm-up consumes zero draws.
@@ -493,16 +475,11 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // telescopes to its longest walk instead of being paid once per member.
     // The rule consumes only cold-equivalent cumulative totals (warm_full)
     // and the ledger's numeric records, both of which are pure functions of
-    // the deterministic batch sequence — never of thread count, chunk size,
-    // engine, or scheduling — so reports stay byte-identical across every
-    // execution shape. (Accounting IS chain-aware by design: sharing warm-up
-    // is what removes the warm cycles from the booked critical path.)
+    // the deterministic batch sequence — never of thread count, engine, or
+    // scheduling — so reports stay byte-identical across every execution
+    // shape. (Accounting IS chain-aware by design: sharing warm-up is what
+    // removes the warm cycles from the booked critical path.)
     for (auto& [key, chain] : chains) {
-      for (const Member& m : chain.members) {
-        if (!in_chunk[m.k]) {
-          warm_full[m.k] = results[pending[m.k]].warm_cycles;
-        }
-      }
       const auto ledger = pool.warm_ledger.find(key);
       for (std::size_t i = 0; i < chain.members.size(); ++i) {
         const Member& m = chain.members[i];
@@ -526,43 +503,27 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         r.total_cycles = r.warm_cycles + timed_cycles;
       }
       const Member& longest = chain.members.back();
-      WarmStateEntry entry;
+      WarmStateEntry entry = std::move(chain.chunks.back().saved);
       entry.steps = longest.steps;
       entry.cum_warm_cycles = warm_full[longest.k];
-      if (chain.save_unit != SIZE_MAX && saved[chain.save_unit].has_state) {
-        entry.state = std::move(saved[chain.save_unit].state);
-        entry.has_state = true;
-      }
       insert_ledger_entry(pool, key, std::move(entry));
     }
 
-    // ---- Serial-depth accounting (engine- and knob-independent) -----------
-    // The batch's Amdahl floor under unbounded sweep threads: chains fan out
-    // in chunks of the NOMINAL size (a constant — warm_chunk_points is an
-    // execution knob and must not move report bytes), everything else is an
-    // independent singleton, and the floor is the most expensive single
-    // unit. Summed over batches (sequential by construction) this gives the
-    // pool's serially-dependent cycle depth, which the stage runner uses to
-    // price a stage's critical-path contribution.
-    constexpr std::uint32_t kNominalChunkPoints = 8;
+    // ---- Serial depth (engine-independent) --------------------------------
+    // The batch's Amdahl floor under unbounded sweep threads: the most
+    // expensive chunk of the plan (its members' booked cycles summed) or
+    // non-chain singleton. Summed over batches (sequential by construction)
+    // this gives the pool's serially-dependent cycle depth, which the stage
+    // runner uses to price a stage's critical-path contribution.
     std::uint64_t batch_serial = 0;
-    std::vector<char> in_chain(pending.size(), 0);
     for (const auto& [key, chain] : chains) {
-      std::uint64_t unit_sum = 0;
-      std::uint32_t unit_len = 0;
-      for (const Member& m : chain.members) {
-        in_chain[m.k] = 1;
-        unit_sum += results[pending[m.k]].total_cycles;
-        ++unit_len;
-        const bool bounded =
-            timed_steps_of(specs[pending[m.k]].config) <= kPrefixShareCap;
-        if (!bounded || unit_len >= kNominalChunkPoints) {
-          batch_serial = std::max(batch_serial, unit_sum);
-          unit_sum = 0;
-          unit_len = 0;
+      for (const Chunk& chunk : chain.chunks) {
+        std::uint64_t chunk_cycles = 0;
+        for (const std::size_t k : chunk.ks) {
+          chunk_cycles += results[pending[k]].total_cycles;
         }
+        batch_serial = std::max(batch_serial, chunk_cycles);
       }
-      batch_serial = std::max(batch_serial, unit_sum);
     }
     std::uint64_t batch_total = 0;
     for (std::size_t k = 0; k < pending.size(); ++k) {
@@ -574,12 +535,10 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     pool.chase_cycles += batch_total;
     pool.serial_cycles += batch_serial;
 
-    if (options.memoize) {
-      pool.memo_stats.misses += pending.size();
-      for (std::size_t k = 0; k < pending.size(); ++k) {
-        pool.memo[pending_hash[k]].emplace_back(specs[pending[k]],
-                                                results[pending[k]]);
-      }
+    pool.memo_stats.misses += pending.size();
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      pool.memo[pending_hash[k]].emplace_back(specs[pending[k]],
+                                              results[pending[k]]);
     }
   }
 
@@ -594,7 +553,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     obs::Metrics& metrics = obs::Metrics::instance();
     const std::uint64_t hits = pool.memo_stats.hits - memo_hits_before;
     if (hits > 0) metrics.add("memo.hits", static_cast<double>(hits));
-    if (options.memoize && !pending.empty()) {
+    if (!pending.empty()) {
       metrics.add("memo.misses", static_cast<double>(pending.size()));
     }
   }

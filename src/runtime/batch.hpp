@@ -30,19 +30,23 @@
 // noise draws (see runtime/kernels.cpp), so the warm state a chase observes
 // is a pure function of its warm walk, and a longer walk of the same WarmKey
 // is an exact extension of a shorter one. The batch planner groups
-// warm-compatible plain chases into chains sorted by walk length, executes
-// each chain as chunked units that warm incrementally (snapshot/restore
-// around each bounded timed pass), and records walk lengths + noise-free
-// warm cycle totals in the pool's WarmStateEntry ledger. Booked cycles
-// follow an engine- and schedule-independent rule: every chain member is
-// charged the incremental warm cost over its predecessor (the previous
-// member, or the longest prior ledger walk) plus its own timed pass, so a
-// chain's warm cost telescopes to its longest walk — sharing removes the
-// repeated warm-up from booked cycles AND from wall-clock. The rule consumes
-// only deterministic cumulative totals, so for a fixed batch sequence the
-// results are byte-identical across thread counts, chunk sizes and the
-// compiled/reference engines; measurements (latencies, timed loads, hit
-// levels) are additionally independent of batch composition and history.
+// warm-compatible plain chases into chains sorted by walk length and splits
+// each chain into chunks of a fixed size (8 members; a full-pass timed run
+// closes its chunk early). That one chunk plan is what the compiled engine
+// executes — each chunk a unit that warms incrementally, snapshot/restoring
+// around each bounded timed pass — and what serial depth is priced over;
+// the reference engine runs every member as a cold singleton instead. Walk
+// lengths + noise-free warm cycle totals land in the pool's WarmStateEntry
+// ledger. Booked cycles follow an engine- and schedule-independent rule:
+// every chain member is charged the incremental warm cost over its
+// predecessor (the previous member, or the longest prior ledger walk) plus
+// its own timed pass, so a chain's warm cost telescopes to its longest walk
+// — sharing removes the repeated warm-up from booked cycles AND from
+// wall-clock. The rule consumes only deterministic cumulative totals, so
+// for a fixed batch sequence the results are byte-identical across thread
+// counts and the compiled/reference engines; measurements (latencies, timed
+// loads, hit levels) are additionally independent of batch composition and
+// history.
 #pragma once
 
 #include <cstdint>
@@ -171,7 +175,7 @@ struct WarmStateEntry {
 /// Reusable replicas + chase-result memo for repeated batch calls against
 /// the same owning Gpu. Both are rebuilt automatically when the owning Gpu
 /// invalidated its compiled paths (cache rebuild via
-/// set_l2_fetch_granularity) — the epoch tracks that, and memoized results
+/// set_l2_fetch_granularity) — the epoch tracks that, and memo results
 /// measured against the old cache geometry would be stale. A pool must not
 /// be shared across different owning Gpus (Gpu::fork replicas of one owner,
 /// which keep the owner's seed, count as the same owning Gpu).
@@ -207,16 +211,12 @@ struct ReplicaPool {
   /// memo on an epoch change.
   std::map<WarmKey, std::vector<WarmStateEntry>> warm_ledger;
   /// Resident bytes of ledger snapshots; inserts that would exceed the
-  /// budget keep their (mandatory) numeric fields but drop the snapshot.
+  /// budget keep their (mandatory) numeric fields but drop the snapshot, so
+  /// the budget bounds memory, never results. The built-in models stay
+  /// inside it (the largest stage pool, on B100-preview, peaks near
+  /// 141 MB); it is the bound for user specs with larger L2s.
   std::uint64_t warm_state_bytes = 0;
   std::uint64_t warm_state_budget = 256ULL << 20;
-  /// Sub-sweep chunking: how many chases of one warm chain execute per
-  /// parallel unit. Each chunk re-warms independently from the best ledger
-  /// snapshot and fans out through the batch executor, which is what lets a
-  /// single size sweep parallelize under --sweep-threads. 0 disables
-  /// chunking (a whole chain runs as one serial unit); results are
-  /// byte-identical either way, only wall time changes.
-  std::uint32_t warm_chunk_points = 8;
   /// Host nanoseconds spent resetting replicas (cache flush + noise reseed)
   /// across every batch run against this pool. Always accumulated (unlike
   /// the metrics-gated replica.reset_ns observe) so the stage runner can
@@ -224,13 +224,13 @@ struct ReplicaPool {
   std::uint64_t reset_ns = 0;
   /// Booked simulated cycles of every chase executed through this pool
   /// (memo hits excluded — they book zero), and the serially-dependent
-  /// portion of them: per batch, the most expensive unit under the NOMINAL
-  /// chunking (a constant, independent of warm_chunk_points), summed over
-  /// batches (which run sequentially). serial_cycles is the Amdahl floor of
-  /// the pool's chase work under unbounded sweep threads; the stage runner
-  /// prices a stage's critical-path contribution with it. Both are pure
-  /// functions of the batch sequence — never of threads, chunking, engine,
-  /// or scheduling.
+  /// portion of them: per batch, the most expensive chunk of the batch's
+  /// chunk plan (the partition the compiled engine executes) or non-chain
+  /// singleton, summed over batches (which run sequentially). serial_cycles
+  /// is the Amdahl floor of the pool's chase work under unbounded sweep
+  /// threads; the stage runner prices a stage's critical-path contribution
+  /// with it. Both are pure functions of the batch sequence — never of
+  /// threads, engine, or scheduling.
   std::uint64_t chase_cycles = 0;
   std::uint64_t serial_cycles = 0;
 };
@@ -243,13 +243,7 @@ struct ChaseBatchOptions {
   exec::Executor* executor = nullptr;
   /// Optional replica + memo cache reused across calls (see ReplicaPool).
   ReplicaPool* pool = nullptr;
-  /// Answer repeated specs from the pool's memo (zero cycles) instead of
-  /// re-running them. Disable for callers that need every spec executed.
-  bool memoize = true;
 };
-
-/// Backwards-compatible name from the plain-chase-only engine.
-using PChaseBatchOptions = ChaseBatchOptions;
 
 /// Deterministic noise-stream seed of one batched chase: a stable mix of the
 /// owning Gpu's construction seed and every result-relevant spec field.

@@ -50,12 +50,12 @@ TEST(PChaseBatch, ByteIdenticalAcrossThreadCounts) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto configs = sweep_configs(gpu, 24);
 
-  PChaseBatchOptions serial;
+  ChaseBatchOptions serial;
   serial.threads = 1;
   const auto reference = run_pchase_batch(gpu, configs, serial);
 
   for (const std::uint32_t threads : {2u, 4u, 8u}) {
-    PChaseBatchOptions options;
+    ChaseBatchOptions options;
     options.threads = threads;
     options.executor = &pool;
     const auto parallel = run_pchase_batch(gpu, configs, options);
@@ -87,7 +87,7 @@ TEST(PChaseBatch, ResultIndependentOfBatchCompositionAndHistory) {
             run_pchase_batch(gpu, std::span(configs).subspan(0, 1), {})[0]
                 .warm_cycles);
 
-  PChaseBatchOptions with_pool;
+  ChaseBatchOptions with_pool;
   ReplicaPool pool;
   with_pool.pool = &pool;
   (void)run_pchase_batch(gpu, std::span(configs).subspan(0, 2), with_pool);
@@ -139,7 +139,7 @@ TEST(PChaseBatch, ForkCarriesSpecMutationsAndAllocator) {
 TEST(PChaseBatch, StaleReplicaPoolIsRefreshedAfterCacheRebuild) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto configs = sweep_configs(gpu, 4);
-  PChaseBatchOptions options;
+  ChaseBatchOptions options;
   ReplicaPool pool;
   options.pool = &pool;
   (void)run_pchase_batch(gpu, configs, options);
@@ -317,7 +317,7 @@ TEST(PChaseBatch, PropagatesTheCallersEngineToWorkers) {
   exec::Executor pool(3);
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto configs = sweep_configs(gpu, 12);
-  PChaseBatchOptions options;
+  ChaseBatchOptions options;
   options.threads = 4;
   options.executor = &pool;
 

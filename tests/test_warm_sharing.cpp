@@ -2,12 +2,14 @@
 // execution in runtime/batch.cpp. A warm-shared timed pass (snapshot +
 // incremental warm + restore) must record byte-identical measurements to a
 // cold full chase for every chase shape, for every sweep thread count, with
-// sub-sweep chunking at any granularity (including off), with the snapshot
-// budget at zero, and across batches through the pool's warm-state ledger.
-// Cycle accounting is chain-aware (members book the incremental warm cost)
-// but engine- and schedule-independent: the reference engine replaying the
-// same batch history books identical cycles. Resampled chases must never
-// join a chain: they exist to draw fresh noise.
+// the snapshot budget at zero, and across batches through the pool's
+// warm-state ledger. Cycle accounting is chain-aware (members book the
+// incremental warm cost) but engine- and schedule-independent: the reference
+// engine replaying the same batch history books identical cycles, and the
+// serial depth priced over the chunk plan is the same for every engine and
+// thread count. Resampled chases must never join a chain: they exist to draw
+// fresh noise.
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -83,9 +85,7 @@ bool equal_results(const std::vector<PChaseResult>& a,
 std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
                                          const std::vector<ChaseSpec>& specs) {
   ScopedPChaseEngine scope(PChaseEngine::kReference);
-  ChaseBatchOptions options;
-  options.memoize = false;
-  return run_chase_batch(gpu, specs, options);
+  return run_chase_batch(gpu, specs);
 }
 
 TEST(WarmSharing, SharedTimedPassMatchesColdChaseForEveryShape) {
@@ -95,19 +95,60 @@ TEST(WarmSharing, SharedTimedPassMatchesColdChaseForEveryShape) {
 
   exec::Executor executor(7);  // real pool threads on any host
   for (const std::uint32_t threads : {1u, 8u}) {
-    for (const std::uint32_t chunk : {0u, 3u, 8u}) {
-      ChaseBatchOptions options;
-      options.threads = threads;
-      options.executor = &executor;
-      ReplicaPool pool;
-      pool.warm_chunk_points = chunk;
-      options.pool = &pool;
-      const auto shared = run_chase_batch(gpu, specs, options);
-      EXPECT_TRUE(equal_results(cold, shared))
-          << "threads=" << threads << " chunk=" << chunk
-          << " diverged from the cold reference";
-    }
+    ChaseBatchOptions options;
+    options.threads = threads;
+    options.executor = &executor;
+    ReplicaPool pool;
+    options.pool = &pool;
+    const auto shared = run_chase_batch(gpu, specs, options);
+    EXPECT_TRUE(equal_results(cold, shared))
+        << "threads=" << threads << " diverged from the cold reference";
   }
+}
+
+TEST(WarmSharing, SerialDepthIsEngineAndThreadIndependent) {
+  // Serial depth is priced over the batch's chunk plan: chain_specs lays out
+  // two chains of 12 bounded walks (chunks of the first 8 and the last 4
+  // members each), and mixed_specs adds two non-chain singletons. The
+  // compiled engine at 1 and 8 threads and the reference engine (which runs
+  // every member cold) must book the same total and the same serial depth,
+  // and that depth is the most expensive chunk or singleton.
+  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
+  const auto specs = mixed_specs(gpu);
+  ASSERT_EQ(specs.size(), 26u);
+
+  exec::Executor executor(7);
+  std::vector<ReplicaPool> pools(3);
+  std::vector<PChaseResult> results;
+  for (std::size_t run = 0; run < pools.size(); ++run) {
+    ScopedPChaseEngine scope(run == 2 ? PChaseEngine::kReference
+                                      : PChaseEngine::kCompiled);
+    ChaseBatchOptions options;
+    options.threads = run == 1 ? 8 : 1;
+    options.executor = &executor;
+    options.pool = &pools[run];
+    results = run_chase_batch(gpu, specs, options);
+  }
+  for (const ReplicaPool& pool : pools) {
+    EXPECT_EQ(pool.chase_cycles, pools[0].chase_cycles);
+    EXPECT_EQ(pool.serial_cycles, pools[0].serial_cycles);
+  }
+
+  const auto booked = [&](std::size_t first, std::size_t count) {
+    std::uint64_t sum = 0;
+    for (std::size_t i = first; i < first + count; ++i) {
+      sum += results[i].total_cycles;
+    }
+    return sum;
+  };
+  std::uint64_t expected = 0;
+  for (const std::size_t chain : {std::size_t{0}, std::size_t{12}}) {
+    expected = std::max({expected, booked(chain, 8), booked(chain + 8, 4)});
+  }
+  expected = std::max({expected, booked(24, 1), booked(25, 1)});
+  EXPECT_EQ(pools[0].serial_cycles, expected);
+  EXPECT_EQ(pools[0].chase_cycles, booked(0, specs.size()));
+  EXPECT_LT(pools[0].serial_cycles, pools[0].chase_cycles);
 }
 
 TEST(WarmSharing, DualCuBatchesMatchTheColdReference) {
@@ -212,7 +253,6 @@ TEST(WarmSharing, LedgerResumesAcrossBatchesWithoutChangingResults) {
   ChaseBatchOptions ref_options;
   ReplicaPool ref_pool;
   ref_options.pool = &ref_pool;
-  ref_options.memoize = false;
   const auto ref_first = run_chase_batch(gpu, first, ref_options);
   const auto ref_after = run_chase_batch(gpu, second, ref_options);
   EXPECT_TRUE(equal_results(first_results, ref_first));
