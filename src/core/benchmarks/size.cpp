@@ -1,6 +1,7 @@
 #include "core/benchmarks/size.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -28,11 +29,16 @@ struct Runner {
   /// phase 6 verifies every seed before trusting it.
   std::map<std::uint64_t, bool> sweep_fits;
 
-  runtime::ChaseBatchOptions batch_options() const {
+  /// Speculative chases of the current lookahead round; every chase of the
+  /// benchmark commits from here when its spec was prefetched.
+  runtime::ChasePrefetch prefetched;
+
+  runtime::ChaseBatchOptions batch_options() {
     runtime::ChaseBatchOptions batch;
     batch.threads = options.sweep_threads;
     batch.executor = options.sweep_executor;
     batch.pool = &pool;
+    batch.prefetched = &prefetched;
     return batch;
   }
 
@@ -77,6 +83,71 @@ struct Runner {
     ++exact_chases;
     const auto result = chase(config_for(array_bytes, /*full_pass=*/true));
     return hit_fraction(result, options.target.element) >= 0.999;
+  }
+
+  /// Bisection tree levels one lookahead round covers: with P sweep threads
+  /// the 2^k - 1 midpoints of the next k levels run at once, k =
+  /// floor(log2(P + 1)). Below two levels a round would run only the walk's
+  /// own next chase, so nothing is prefetched (P <= 2).
+  std::uint32_t lookahead_levels() const {
+    const auto k = static_cast<std::uint32_t>(
+        std::bit_width(std::uint64_t{options.sweep_threads} + 1) - 1);
+    return k >= 2 ? k : 0;
+  }
+
+  /// Runs the chases of @p sizes ahead of time, off the books; the previous
+  /// round's unused results are dropped.
+  void prefetch(const std::vector<std::uint64_t>& sizes, bool full_pass) {
+    std::vector<runtime::ChaseSpec> specs;
+    for (const std::uint64_t size : sizes) {
+      specs.push_back(runtime::ChaseSpec::plain(config_for(size, full_pass)));
+    }
+    prefetched = {};
+    prefetched = runtime::prefetch_chases(gpu, specs, batch_options());
+  }
+
+  std::uint64_t midpoint(std::uint64_t lo, std::uint64_t hi) const {
+    return round_down(lo + (hi - lo) / 2, options.stride);
+  }
+
+  /// The midpoints the walk over (lo, hi) may chase in its next @p levels.
+  void collect_midpoints(std::uint64_t lo, std::uint64_t hi,
+                         std::uint64_t span, std::uint32_t levels,
+                         std::vector<std::uint64_t>& out) const {
+    if (levels == 0 || hi - lo <= span) return;
+    const std::uint64_t mid = midpoint(lo, hi);
+    if (mid <= lo || mid >= hi) return;
+    out.push_back(mid);
+    collect_midpoints(lo, mid, span, levels - 1, out);
+    collect_midpoints(mid, hi, span, levels - 1, out);
+  }
+
+  /// Binary search on stride multiples, shared by phases 1b and 6: narrows
+  /// (lo, hi) until it spans at most @p span, moving lo up where
+  /// @p below(mid) holds and hi down elsewhere. The walk is serial and books
+  /// exactly its own chases; with lookahead, each level whose midpoint was
+  /// not prefetched first runs the midpoints of the next levels in
+  /// parallel, so the serial calls below commit from the prefetch table.
+  template <typename Below>
+  void bisect(std::uint64_t& lo, std::uint64_t& hi, std::uint64_t span,
+              bool full_pass, Below below) {
+    const std::uint32_t levels = lookahead_levels();
+    while (hi - lo > span) {
+      const std::uint64_t mid = midpoint(lo, hi);
+      if (mid <= lo || mid >= hi) break;
+      if (levels > 0 && prefetched.find(runtime::ChaseSpec::plain(
+                            config_for(mid, full_pass))) == nullptr) {
+        std::vector<std::uint64_t> sizes;
+        collect_midpoints(lo, hi, span, levels, sizes);
+        prefetch(sizes, full_pass);
+      }
+      if (below(mid)) {
+        lo = mid;
+      } else {
+        hi = mid;
+      }
+    }
+    prefetched = {};
   }
 };
 
@@ -125,15 +196,10 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
       std::max<std::uint64_t>(static_cast<std::uint64_t>(options.stride) *
                                   options.max_sweep_points,
                               hi / 16);
-  while (hi - lo > target_span) {
-    const std::uint64_t mid = round_down(lo + (hi - lo) / 2, options.stride);
-    if (mid <= lo || mid >= hi) break;
-    if (runner.median_latency(mid) > jump_threshold) {
-      hi = mid;
-    } else {
-      lo = mid;
-    }
-  }
+  runner.bisect(lo, hi, target_span, /*full_pass=*/false,
+                [&](std::uint64_t mid) {
+                  return runner.median_latency(mid) <= jump_threshold;
+                });
 
   // --- Phases 2-4: sweep, outlier screening (with widening), K-S. ----------
   //
@@ -296,6 +362,18 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
       }
       if (seed_lo != 0) fit_lo = seed_lo;
     }
+    // The upper seed to verify once fit_lo is known to fit.
+    const auto miss_seed = [&] {
+      return miss_hi > fit_lo
+                 ? miss_hi
+                 : std::max(out.detected_bytes, fit_lo + options.stride);
+    };
+    if (runner.lookahead_levels() > 0) {
+      // Verify both seeds at once, assuming the lower one holds.
+      std::vector<std::uint64_t> verify{fit_lo};
+      if (miss_seed() < upper) verify.push_back(miss_seed());
+      runner.prefetch(verify, /*full_pass=*/true);
+    }
     // Expansion steps double: when the sweep window missed the boundary
     // entirely (a late phase-1 jump), a fixed coarse step would crawl over
     // the gap chase by chase; doubling reaches any distance in O(log)
@@ -317,24 +395,14 @@ SizeBenchResult run_size_benchmark(sim::Gpu& gpu,
       out.exact_chases = runner.exact_chases;
       return out;
     }
-    if (miss_hi <= fit_lo) {
-      miss_hi = std::max(out.detected_bytes, fit_lo + options.stride);
-    }
+    miss_hi = miss_seed();
     for (std::uint64_t step = expand; miss_hi < upper && runner.fits(miss_hi);
          step *= 2) {
       miss_hi = std::min(upper, miss_hi + step);
     }
     // Invariant: fits(fit_lo) && !fits(miss_hi); bisect on stride multiples.
-    while (miss_hi - fit_lo > options.stride) {
-      const std::uint64_t mid =
-          round_down(fit_lo + (miss_hi - fit_lo) / 2, options.stride);
-      if (mid <= fit_lo || mid >= miss_hi) break;
-      if (runner.fits(mid)) {
-        fit_lo = mid;
-      } else {
-        miss_hi = mid;
-      }
-    }
+    runner.bisect(fit_lo, miss_hi, options.stride, /*full_pass=*/true,
+                  [&](std::uint64_t mid) { return runner.fits(mid); });
     out.exact_bytes = fit_lo;
   }
 

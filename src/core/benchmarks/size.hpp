@@ -35,6 +35,15 @@
 // the change point — so the expansion loop's extra chases disappear (both
 // seeds are still verified with full-pass chases before the bisection
 // trusts them).
+//
+// Phases 1b and 6 share one bisection loop, and both are speculative when
+// sweep_threads P >= 3: before a level whose midpoint was not prefetched,
+// the midpoints of the next k = floor(log2(P + 1)) levels run in parallel
+// off the books (runtime::prefetch_chases), and phase 6 verifies its two
+// seeds in one such round. The walk itself stays serial and books only the
+// on-path chases, committed from the prefetched results; off-path results
+// are dropped. Boundary, cycles, memo counts and serial depth are therefore
+// those of the serial walk at every thread count.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,8 @@
 // The registry is the wall-clock counterpart of the simulated-cycle
 // telemetry in TopologyReport: it aggregates host observations —
 // `exec.queue_wait_ns`, `exec.worker_busy_fraction`, `pipeline.stage_wall_ns`,
-// `memo.hits`/`memo.misses`, `replica.fork_ns`/`replica.reset_ns`,
+// `memo.hits`/`memo.misses`, `chase.prefetched`/`chase.prefetch_used`,
+// `replica.fork_ns`/`replica.reset_ns`,
 // `fleet.jobs_done`/`fleet.cache_hits` — per discovery (embedded into the
 // report's `meta.wall` block when enabled) and per fleet run (dumped as
 // Prometheus text via `mt4g_cli --metrics <file>`, the groundwork for the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -197,6 +198,211 @@ void insert_ledger_entry(ReplicaPool& pool, const WarmKey& key,
   *slot = std::move(entry);
 }
 
+/// Warm walk of a chase that may share warm-up, or nullopt for one that
+/// always runs cold: non-plain shapes, warm-up-free configs, and resamples,
+/// which exist to be genuinely independent re-measurements.
+std::optional<WarmKey> warm_key_of(const ChaseSpec& spec) {
+  const PChaseConfig& config = spec.config;
+  if (spec.kind != ChaseKind::kPlain || !config.warmup ||
+      config.resample != 0) {
+    return std::nullopt;
+  }
+  return WarmKey{config.space,        config.flags.bypass_l1,
+                 config.base,         config.stride_bytes,
+                 config.where.sm,     config.where.core};
+}
+
+std::uint64_t walk_steps_of(const PChaseConfig& config) {
+  return config.array_bytes / config.stride_bytes;
+}
+
+/// The longest ledger walk with a snapshot not exceeding @p steps: where a
+/// warm-sharing unit resumes instead of warming from cold.
+const WarmStateEntry* resume_point(const ReplicaPool& pool, const WarmKey& key,
+                                   std::uint64_t steps) {
+  const auto ledger = pool.warm_ledger.find(key);
+  if (ledger == pool.warm_ledger.end()) return nullptr;
+  const WarmStateEntry* best = nullptr;
+  for (const WarmStateEntry& e : ledger->second) {
+    if (e.has_state && e.steps <= steps &&
+        (best == nullptr || e.steps > best->steps)) {
+      best = &e;
+    }
+  }
+  return best;
+}
+
+/// What one worker slot runs back-to-back on one replica. A warm unit
+/// (compiled engine, warm-compatible plain chases of one WarmKey in walk
+/// order) warms incrementally from its resume point and snapshot/restores
+/// around each bounded timed pass; anything else is one cold chase.
+struct Unit {
+  std::vector<std::size_t> ks;  ///< pending indices, walk order
+  bool warm = false;
+  const WarmStateEntry* restore = nullptr;  ///< ledger resume point
+  /// Receives the warm state right before the last member's timed pass.
+  WarmStateEntry* save = nullptr;
+};
+
+/// The execute half of a batch: runs @p units on the pool's replicas, one
+/// replica per participant slot, and fills the raw result and the
+/// cold-equivalent cumulative warm total (warm_full) of every pending index
+/// the units hold. Besides those outputs and the units' save targets it
+/// touches only the pool's replicas and reset_ns. Ledger entries are read,
+/// never written, so the units' restore pointers stay valid throughout.
+void execute_units(sim::Gpu& gpu, ReplicaPool& pool,
+                   std::span<const ChaseSpec> specs,
+                   const std::vector<std::size_t>& pending,
+                   const std::vector<std::uint64_t>& pending_hash,
+                   const std::vector<Unit>& units,
+                   const ChaseBatchOptions& options,
+                   std::vector<PChaseResult>& results,
+                   std::vector<std::uint64_t>& warm_full) {
+  if (units.empty()) return;
+  const PChaseEngine engine = pchase_engine();
+  // Never more participants than units.
+  const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
+      std::max<std::uint32_t>(options.threads, 1), units.size()));
+  while (pool.replicas.size() < workers) {
+    pool.replicas.push_back(pool.replica_cache
+                                ? pool.replica_cache->acquire(gpu)
+                                : fork_replica(gpu));
+  }
+
+  // Per-slot scratch, merged single-threaded at the join.
+  std::vector<std::uint64_t> slot_reset_ns(workers, 0);
+  std::vector<sim::PathSnapshot> slot_scratch(workers);
+
+  const auto run_unit = [&](std::size_t u, std::uint32_t slot) {
+    const Unit& unit = units[u];
+    sim::Gpu& replica = pool.replicas[slot];
+    {
+      const obs::SpanGuard reset_span("replica.reset");
+      const std::uint64_t reset_start = obs::monotonic_ns();
+      replica.flush_caches();
+      if (!unit.warm) {
+        // The memo key IS the noise-stream seed (both are the full spec
+        // fold).
+        replica.reseed_noise(pending_hash[unit.ks.front()]);
+      }
+      const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
+      slot_reset_ns[slot] += reset_ns;
+      if (obs::metrics_enabled()) {
+        obs::Metrics::instance().observe("replica.reset_ns",
+                                         static_cast<double>(reset_ns));
+      }
+    }
+    const ScopedPChaseEngine scope(engine);  // workers default to kCompiled
+    if (!unit.warm) {
+      const std::size_t k = unit.ks.front();
+      const obs::SpanGuard chase_span("chase.run");
+      results[pending[k]] = run_chase(replica, specs[pending[k]]);
+      warm_full[k] = results[pending[k]].warm_cycles;
+      return;
+    }
+    // Warm-sharing unit: one incremental warm walk, many timed passes.
+    const PChaseConfig& head = specs[pending[unit.ks.front()]].config;
+    const sim::AccessPath path =
+        replica.compile_path(head.where, head.space, head.flags);
+    std::uint64_t cur_steps = 0;
+    std::uint64_t cum_warm = 0;
+    if (unit.restore != nullptr) {
+      replica.restore_path(path, unit.restore->state);
+      cur_steps = unit.restore->steps;
+      cum_warm = unit.restore->cum_warm_cycles;
+    }
+    for (std::size_t i = 0; i < unit.ks.size(); ++i) {
+      const std::size_t k = unit.ks[i];
+      const std::size_t index = pending[k];
+      const PChaseConfig& config = specs[index].config;
+      const std::uint64_t steps = walk_steps_of(config);
+      if (steps > cur_steps) {
+        cum_warm += replica.run_warm_pass(
+            path, config.base + cur_steps * config.stride_bytes,
+            config.stride_bytes, steps - cur_steps);
+        cur_steps = steps;
+      }
+      warm_full[k] = cum_warm;
+      const bool last = i + 1 == unit.ks.size();
+      if (last && unit.save != nullptr) {
+        replica.snapshot_path(path, unit.save->state);
+        unit.save->has_state = true;
+      }
+      // Re-seeding here puts the timed pass at the exact stream position a
+      // cold run would see: warm-up consumes zero draws.
+      replica.reseed_noise(pending_hash[k]);
+      PChaseConfig timed = config;
+      timed.warmup = false;
+      const obs::SpanGuard chase_span("chase.run");
+      if (!last) {
+        // The timed pass only touches sets its address prefix maps to;
+        // snapshotting exactly those makes the restore rewind it fully.
+        replica.snapshot_path_prefix(path, config.base, config.stride_bytes,
+                                     timed_steps_of(config),
+                                     slot_scratch[slot]);
+        results[index] = run_pchase(replica, timed);
+        replica.restore_path(path, slot_scratch[slot]);
+      } else {
+        results[index] = run_pchase(replica, timed);
+      }
+    }
+  };
+
+  if (workers == 1) {
+    for (std::size_t u = 0; u < units.size(); ++u) run_unit(u, 0);
+  } else {
+    exec::Executor& executor =
+        options.executor ? *options.executor : exec::shared_executor();
+    executor.parallel_for(units.size(), workers, run_unit);
+  }
+  for (const std::uint64_t ns : slot_reset_ns) pool.reset_ns += ns;
+}
+
+/// Resolves memo hits and intra-batch duplicates in spec order, before any
+/// chase runs, so which index carries the cycles is a function of the batch
+/// contents alone — never of scheduling. Collects the first occurrences to
+/// execute (and their memo keys); reports each memo hit to
+/// @p on_hit(i, result) and each duplicate to @p on_duplicate(i, earlier).
+template <typename OnHit, typename OnDuplicate>
+void resolve_memo(const sim::Gpu& gpu, const ReplicaPool& pool,
+                  std::span<const ChaseSpec> specs,
+                  std::vector<std::size_t>& pending,
+                  std::vector<std::uint64_t>& pending_hash, OnHit on_hit,
+                  OnDuplicate on_duplicate) {
+  const obs::SpanGuard memo_span("memo.resolve");
+  // hash -> indices already pending, so duplicate detection stays linear
+  // even for the N^2-pair CU-sharing batches.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> first_seen;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::uint64_t hash = chase_noise_seed(gpu.seed(), specs[i]);
+    if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
+      on_hit(i, *hit);
+      continue;
+    }
+    auto& candidates = first_seen[hash];
+    const auto earlier = std::find_if(
+        candidates.begin(), candidates.end(),
+        [&](std::size_t j) { return specs[j] == specs[i]; });
+    if (earlier != candidates.end()) {
+      on_duplicate(i, *earlier);
+      continue;
+    }
+    candidates.push_back(i);
+    pending.push_back(i);
+    pending_hash.push_back(hash);
+  }
+}
+
+PrefetchedChase* find_prefetched(ChasePrefetch& table, std::uint64_t hash,
+                                 const ChaseSpec& spec) {
+  const auto bucket = table.chases.find(hash);
+  if (bucket == table.chases.end()) return nullptr;
+  const auto hit = std::find_if(
+      bucket->second.begin(), bucket->second.end(),
+      [&](const PrefetchedChase& chase) { return chase.spec == spec; });
+  return hit == bucket->second.end() ? nullptr : &*hit;
+}
+
 }  // namespace
 
 PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec) {
@@ -211,6 +417,10 @@ PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec) {
       return run_dual_cu_pchase(gpu, spec.config, spec.partner, spec.base_b);
   }
   return {};
+}
+
+PrefetchedChase* ChasePrefetch::find(const ChaseSpec& spec) {
+  return find_prefetched(*this, chase_noise_seed(gpu_seed, spec), spec);
 }
 
 std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
@@ -232,43 +442,42 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   }
   pool.epoch = gpu.path_epoch();
 
-  // Resolve memo hits and intra-batch duplicates in spec order, before any
-  // chase runs, so which index carries the cycles is a function of the batch
-  // contents alone — never of scheduling.
   std::vector<std::size_t> pending;          // first occurrences to execute
   std::vector<std::uint64_t> pending_hash;   // their memo keys
   std::vector<std::ptrdiff_t> copy_from(specs.size(), -1);
-  // hash -> indices already pending, so duplicate detection stays linear
-  // even for the N^2-pair CU-sharing batches.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> first_seen;
   const std::uint64_t memo_hits_before = pool.memo_stats.hits;
-  {
-    const obs::SpanGuard memo_span("memo.resolve");
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const std::uint64_t hash = chase_noise_seed(gpu.seed(), specs[i]);
-      if (const PChaseResult* hit = probe_memo(pool, hash, specs[i])) {
-        results[i] = *hit;
+  resolve_memo(
+      gpu, pool, specs, pending, pending_hash,
+      [&](std::size_t i, const PChaseResult& hit) {
+        results[i] = hit;
         results[i].total_cycles = 0;
         results[i].from_cache = true;
         ++pool.memo_stats.hits;
-        continue;
-      }
-      auto& candidates = first_seen[hash];
-      const auto earlier = std::find_if(
-          candidates.begin(), candidates.end(),
-          [&](std::size_t j) { return specs[j] == specs[i]; });
-      if (earlier != candidates.end()) {
-        copy_from[i] = static_cast<std::ptrdiff_t>(*earlier);
-        continue;
-      }
-      candidates.push_back(i);
-      pending.push_back(i);
-      pending_hash.push_back(hash);
-    }
-  }
+      },
+      [&](std::size_t i, std::size_t earlier) {
+        copy_from[i] = static_cast<std::ptrdiff_t>(earlier);
+      });
 
+  std::size_t prefetch_used = 0;
   if (!pending.empty()) {
-    const PChaseEngine engine = pchase_engine();
+    // ---- Prefetched chases ------------------------------------------------
+    // A pending spec found in the prefetch table takes its raw result,
+    // warm_full and warm-end snapshot from there instead of executing; the
+    // plan and the booking below treat it exactly like an executed chase.
+    std::vector<std::uint64_t> warm_full(pending.size(), 0);
+    std::vector<PrefetchedChase*> prefetched(pending.size(), nullptr);
+    ChasePrefetch* table = options.prefetched;
+    if (table != nullptr && table->gpu_seed == gpu.seed() &&
+        table->epoch == gpu.path_epoch()) {
+      for (std::size_t k = 0; k < pending.size(); ++k) {
+        prefetched[k] =
+            find_prefetched(*table, pending_hash[k], specs[pending[k]]);
+        if (prefetched[k] == nullptr) continue;
+        results[pending[k]] = prefetched[k]->result;
+        warm_full[k] = prefetched[k]->warm_full;
+        ++prefetch_used;
+      }
+    }
 
     // ---- Chunk plan (engine-independent) ----------------------------------
     // Group warm-compatible plain chases by WarmKey, sort each chain by walk
@@ -280,193 +489,79 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       std::size_t k = 0;  ///< index into pending
       std::uint64_t steps = 0;
     };
-    struct Chunk {
-      std::vector<std::size_t> ks;  ///< pending indices, chain order
-      const WarmStateEntry* restore = nullptr;  ///< best ledger resume point
-      bool save = false;     ///< last chunk: captures the chain's end state
-      WarmStateEntry saved;  ///< that end state (compiled engine only)
-    };
     struct Chain {
       std::vector<Member> members;
-      std::vector<Chunk> chunks;
+      std::vector<std::vector<std::size_t>> chunks;  ///< pending indices
+      WarmStateEntry end_state;  ///< state at the longest walk (compiled)
     };
     std::map<WarmKey, Chain> chains;
     std::vector<char> in_chain(pending.size(), 0);
     for (std::size_t k = 0; k < pending.size(); ++k) {
       const ChaseSpec& spec = specs[pending[k]];
-      const PChaseConfig& config = spec.config;
-      // Resample chases are excluded by contract: they exist to be genuinely
-      // independent re-measurements and always run cold.
-      if (spec.kind != ChaseKind::kPlain || !config.warmup ||
-          config.resample != 0) {
-        continue;
+      if (const auto key = warm_key_of(spec)) {
+        chains[*key].members.push_back({k, walk_steps_of(spec.config)});
+        in_chain[k] = 1;
       }
-      const WarmKey key{config.space,       config.flags.bypass_l1,
-                        config.base,        config.stride_bytes,
-                        config.where.sm,    config.where.core};
-      chains[key].members.push_back(
-          {k, config.array_bytes / config.stride_bytes});
-      in_chain[k] = 1;
     }
     for (auto& [key, chain] : chains) {
       std::stable_sort(
           chain.members.begin(), chain.members.end(),
           [](const Member& a, const Member& b) { return a.steps < b.steps; });
-      Chunk current;
+      std::vector<std::size_t> current;
       for (const Member& m : chain.members) {
-        current.ks.push_back(m.k);
+        current.push_back(m.k);
         const bool bounded =
             timed_steps_of(specs[pending[m.k]].config) <= kPrefixShareCap;
         // An unbounded (full-pass) timed run dirties state beyond any
         // cheap snapshot, so it closes its chunk as the final member.
-        if (!bounded || current.ks.size() >= kChunkPoints) {
+        if (!bounded || current.size() >= kChunkPoints) {
           chain.chunks.push_back(std::move(current));
-          current = Chunk{};
+          current.clear();
         }
       }
-      if (!current.ks.empty()) chain.chunks.push_back(std::move(current));
-      // The last chunk reaches the chain's longest walk: capture its warm
-      // state there so the next batch can resume instead of re-warming.
-      chain.chunks.back().save = true;
-      // Resume points: the longest ledger walk not exceeding the chunk's
-      // first member. Ledger entries are immutable during execution (the
-      // update below happens after the join), so the pointers stay valid.
-      const auto ledger = pool.warm_ledger.find(key);
-      if (ledger == pool.warm_ledger.end()) continue;
-      for (Chunk& chunk : chain.chunks) {
-        const PChaseConfig& first = specs[pending[chunk.ks.front()]].config;
-        const std::uint64_t first_steps =
-            first.array_bytes / first.stride_bytes;
-        for (const WarmStateEntry& e : ledger->second) {
-          if (e.has_state && e.steps <= first_steps &&
-              (chunk.restore == nullptr || e.steps > chunk.restore->steps)) {
-            chunk.restore = &e;
-          }
-        }
-      }
+      if (!current.empty()) chain.chunks.push_back(std::move(current));
     }
 
     // ---- Execution units --------------------------------------------------
-    // A unit is what one worker slot runs back-to-back on one replica. The
-    // compiled engine runs each chunk as one unit that warms incrementally
-    // and snapshot/restores around each bounded timed pass; each chunk
-    // re-warms independently (from the best ledger snapshot), trading some
-    // redundant warm work for parallelism without touching results.
-    // Everything else (non-chain shapes, resamples, and every chain member
-    // under the reference engine) runs as a cold singleton.
-    struct Unit {
-      Chunk* chunk = nullptr;  ///< nullptr = cold singleton
-      std::size_t k = 0;       ///< the singleton's pending index
-    };
+    // The compiled engine runs each chunk's not-prefetched members as one
+    // warm unit that resumes from the best ledger snapshot; each chunk
+    // re-warms independently, trading some redundant warm work for
+    // parallelism without touching results. The unit reaching the chain's
+    // longest walk captures its warm state there so the next batch can
+    // resume instead of re-warming. Everything else (non-chain shapes,
+    // resamples, and every chain member under the reference engine) runs as
+    // a cold singleton.
+    const bool compiled = pchase_engine() == PChaseEngine::kCompiled;
     std::vector<Unit> units;
-    const bool chunked = engine == PChaseEngine::kCompiled;
-    if (chunked) {
-      for (auto& [key, chain] : chains) {
-        for (Chunk& chunk : chain.chunks) units.push_back({&chunk, 0});
+    for (auto& [key, chain] : chains) {
+      const std::size_t longest = chain.members.back().k;
+      if (prefetched[longest] != nullptr &&
+          prefetched[longest]->has_end_state) {
+        chain.end_state.state = std::move(prefetched[longest]->end_state);
+        chain.end_state.has_state = true;
+        prefetched[longest]->has_end_state = false;
+      }
+      if (!compiled) continue;
+      for (const std::vector<std::size_t>& chunk : chain.chunks) {
+        Unit unit;
+        unit.warm = true;
+        for (const std::size_t k : chunk) {
+          if (prefetched[k] == nullptr) unit.ks.push_back(k);
+        }
+        if (unit.ks.empty()) continue;
+        unit.restore = resume_point(
+            pool, key, walk_steps_of(specs[pending[unit.ks.front()]].config));
+        if (unit.ks.back() == longest) unit.save = &chain.end_state;
+        units.push_back(std::move(unit));
       }
     }
     for (std::size_t k = 0; k < pending.size(); ++k) {
-      if (!chunked || !in_chain[k]) units.push_back({nullptr, k});
+      if (prefetched[k] == nullptr && (!compiled || !in_chain[k])) {
+        units.push_back(Unit{{k}});
+      }
     }
-
-    // One replica per participant slot; never more participants than units.
-    const auto workers = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-        std::max<std::uint32_t>(options.threads, 1), units.size()));
-    while (pool.replicas.size() < workers) {
-      pool.replicas.push_back(pool.replica_cache
-                                  ? pool.replica_cache->acquire(gpu)
-                                  : fork_replica(gpu));
-    }
-
-    // Per-slot scratch, merged single-threaded at the join.
-    std::vector<std::uint64_t> warm_full(pending.size(), 0);
-    std::vector<std::uint64_t> slot_reset_ns(workers, 0);
-    std::vector<sim::PathSnapshot> slot_scratch(workers);
-
-    const auto run_unit = [&](std::size_t u, std::uint32_t slot) {
-      const Unit& unit = units[u];
-      sim::Gpu& replica = pool.replicas[slot];
-      {
-        const obs::SpanGuard reset_span("replica.reset");
-        const std::uint64_t reset_start = obs::monotonic_ns();
-        replica.flush_caches();
-        if (unit.chunk == nullptr) {
-          // The memo key IS the noise-stream seed (both are the full spec
-          // fold).
-          replica.reseed_noise(pending_hash[unit.k]);
-        }
-        const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
-        slot_reset_ns[slot] += reset_ns;
-        if (obs::metrics_enabled()) {
-          obs::Metrics::instance().observe("replica.reset_ns",
-                                           static_cast<double>(reset_ns));
-        }
-      }
-      const ScopedPChaseEngine scope(engine);  // workers default to kCompiled
-      if (unit.chunk == nullptr) {
-        const std::size_t index = pending[unit.k];
-        const obs::SpanGuard chase_span("chase.run");
-        results[index] = run_chase(replica, specs[index]);
-        warm_full[unit.k] = results[index].warm_cycles;
-        return;
-      }
-      // Warm-sharing chunk: one incremental warm walk, many timed passes.
-      Chunk& chunk = *unit.chunk;
-      const PChaseConfig& head = specs[pending[chunk.ks.front()]].config;
-      const sim::AccessPath path =
-          replica.compile_path(head.where, head.space, head.flags);
-      std::uint64_t cur_steps = 0;
-      std::uint64_t cum_warm = 0;
-      if (chunk.restore != nullptr) {
-        replica.restore_path(path, chunk.restore->state);
-        cur_steps = chunk.restore->steps;
-        cum_warm = chunk.restore->cum_warm_cycles;
-      }
-      for (std::size_t i = 0; i < chunk.ks.size(); ++i) {
-        const std::size_t k = chunk.ks[i];
-        const std::size_t index = pending[k];
-        const PChaseConfig& config = specs[index].config;
-        const std::uint64_t steps = config.array_bytes / config.stride_bytes;
-        if (steps > cur_steps) {
-          cum_warm += replica.run_warm_pass(
-              path, config.base + cur_steps * config.stride_bytes,
-              config.stride_bytes, steps - cur_steps);
-          cur_steps = steps;
-        }
-        warm_full[k] = cum_warm;
-        const bool last = i + 1 == chunk.ks.size();
-        if (last && chunk.save) {
-          replica.snapshot_path(path, chunk.saved.state);
-          chunk.saved.has_state = true;
-        }
-        // Re-seeding here puts the timed pass at the exact stream position a
-        // cold run would see: warm-up consumes zero draws.
-        replica.reseed_noise(pending_hash[k]);
-        PChaseConfig timed = config;
-        timed.warmup = false;
-        const obs::SpanGuard chase_span("chase.run");
-        if (!last) {
-          // The timed pass only touches sets its address prefix maps to;
-          // snapshotting exactly those makes the restore rewind it fully.
-          replica.snapshot_path_prefix(path, config.base, config.stride_bytes,
-                                       timed_steps_of(config),
-                                       slot_scratch[slot]);
-          results[index] = run_pchase(replica, timed);
-          replica.restore_path(path, slot_scratch[slot]);
-        } else {
-          results[index] = run_pchase(replica, timed);
-        }
-      }
-    };
-
-    if (workers == 1) {
-      for (std::size_t u = 0; u < units.size(); ++u) run_unit(u, 0);
-    } else {
-      exec::Executor& executor =
-          options.executor ? *options.executor : exec::shared_executor();
-      executor.parallel_for(units.size(), workers, run_unit);
-    }
-    for (const std::uint64_t ns : slot_reset_ns) pool.reset_ns += ns;
+    execute_units(gpu, pool, specs, pending, pending_hash, units, options,
+                  results, warm_full);
 
     // ---- Engine-independent booking + ledger update (in chain order) ------
     // Each chain member is charged the incremental warm cost over its
@@ -475,10 +570,11 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // telescopes to its longest walk instead of being paid once per member.
     // The rule consumes only cold-equivalent cumulative totals (warm_full)
     // and the ledger's numeric records, both of which are pure functions of
-    // the deterministic batch sequence — never of thread count, engine, or
-    // scheduling — so reports stay byte-identical across every execution
-    // shape. (Accounting IS chain-aware by design: sharing warm-up is what
-    // removes the warm cycles from the booked critical path.)
+    // the deterministic batch sequence — never of thread count, engine,
+    // scheduling or prefetching — so reports stay byte-identical across
+    // every execution shape. (Accounting IS chain-aware by design: sharing
+    // warm-up is what removes the warm cycles from the booked critical
+    // path.)
     for (auto& [key, chain] : chains) {
       const auto ledger = pool.warm_ledger.find(key);
       for (std::size_t i = 0; i < chain.members.size(); ++i) {
@@ -503,7 +599,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
         r.total_cycles = r.warm_cycles + timed_cycles;
       }
       const Member& longest = chain.members.back();
-      WarmStateEntry entry = std::move(chain.chunks.back().saved);
+      WarmStateEntry entry = std::move(chain.end_state);
       entry.steps = longest.steps;
       entry.cum_warm_cycles = warm_full[longest.k];
       insert_ledger_entry(pool, key, std::move(entry));
@@ -517,9 +613,9 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // runner uses to price a stage's critical-path contribution.
     std::uint64_t batch_serial = 0;
     for (const auto& [key, chain] : chains) {
-      for (const Chunk& chunk : chain.chunks) {
+      for (const std::vector<std::size_t>& chunk : chain.chunks) {
         std::uint64_t chunk_cycles = 0;
-        for (const std::size_t k : chunk.ks) {
+        for (const std::size_t k : chunk) {
           chunk_cycles += results[pending[k]].total_cycles;
         }
         batch_serial = std::max(batch_serial, chunk_cycles);
@@ -556,8 +652,64 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     if (!pending.empty()) {
       metrics.add("memo.misses", static_cast<double>(pending.size()));
     }
+    if (prefetch_used > 0) {
+      metrics.add("chase.prefetch_used", static_cast<double>(prefetch_used));
+    }
   }
   return results;
+}
+
+ChasePrefetch prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
+                              const ChaseBatchOptions& options) {
+  ChasePrefetch table;
+  table.gpu_seed = gpu.seed();
+  table.epoch = gpu.path_epoch();
+  ReplicaPool local_pool;
+  local_pool.epoch = gpu.path_epoch();
+  ReplicaPool& pool = options.pool ? *options.pool : local_pool;
+  // A stale pool's replicas and ledger hold the old cache geometry, and
+  // only the next batch may clear them.
+  if (specs.empty() || pool.epoch != gpu.path_epoch()) return table;
+  const obs::SpanGuard prefetch_span("chase.prefetch");
+
+  std::vector<std::size_t> pending;
+  std::vector<std::uint64_t> pending_hash;
+  resolve_memo(
+      gpu, pool, specs, pending, pending_hash,
+      [](std::size_t, const PChaseResult&) {}, [](std::size_t, std::size_t) {});
+  if (pending.empty()) return table;
+
+  // Every spec is its own unit, so each is a chain's longest walk at its
+  // own commit unless that batch extends the chain: capture every warm end.
+  const bool compiled = pchase_engine() == PChaseEngine::kCompiled;
+  std::vector<WarmStateEntry> end_states(pending.size());
+  std::vector<Unit> units;
+  units.reserve(pending.size());
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    Unit unit{{k}};
+    const ChaseSpec& spec = specs[pending[k]];
+    if (const auto key = warm_key_of(spec); compiled && key) {
+      unit.warm = true;
+      unit.restore = resume_point(pool, *key, walk_steps_of(spec.config));
+      unit.save = &end_states[k];
+    }
+    units.push_back(std::move(unit));
+  }
+  std::vector<PChaseResult> results(specs.size());
+  std::vector<std::uint64_t> warm_full(pending.size(), 0);
+  execute_units(gpu, pool, specs, pending, pending_hash, units, options,
+                results, warm_full);
+
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    table.chases[pending_hash[k]].push_back(
+        {specs[pending[k]], std::move(results[pending[k]]), warm_full[k],
+         std::move(end_states[k].state), end_states[k].has_state});
+  }
+  if (obs::metrics_enabled()) {
+    obs::Metrics::instance().add("chase.prefetched",
+                                 static_cast<double>(pending.size()));
+  }
+  return table;
 }
 
 std::vector<PChaseResult> run_pchase_batch(sim::Gpu& gpu,

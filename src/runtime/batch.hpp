@@ -47,6 +47,18 @@
 // counts and the compiled/reference engines; measurements (latencies, timed
 // loads, hit levels) are additionally independent of batch composition and
 // history.
+//
+// That independence is what makes speculation free of side effects. A
+// batch is an execute half (run the chases, yielding each one's raw result,
+// its cold-equivalent cumulative warm total and, for a chain's longest
+// walk, its warm-end snapshot) followed by a booking half (the booking rule,
+// ledger insert, serial depth and memo insert). prefetch_chases() runs only
+// the execute half, for chases a serial caller may need next, and books
+// nothing. A later run_chase_batch handed that table commits a pending spec
+// from it instead of executing it; because the execute half's outputs do
+// not depend on history, committing a prefetched chase is indistinguishable
+// from executing it, and speculated chases that are never committed leave
+// no trace in the booking, the memo or the ledger.
 #pragma once
 
 #include <cstdint>
@@ -235,6 +247,32 @@ struct ReplicaPool {
   std::uint64_t serial_cycles = 0;
 };
 
+/// One speculatively executed chase (see prefetch_chases): exactly what the
+/// execute half of run_chase_batch would have produced for it, before any
+/// booking.
+struct PrefetchedChase {
+  ChaseSpec spec;
+  PChaseResult result;          ///< raw measurement, cycles not yet booked
+  std::uint64_t warm_full = 0;  ///< cold-equivalent cumulative warm cycles
+  /// Warm state at the end of its warm walk (compiled-engine chain chases
+  /// only); a commit moves it into the ledger when the chase is the longest
+  /// walk of its chain.
+  sim::PathSnapshot end_state;
+  bool has_end_state = false;
+};
+
+/// The speculative results of one prefetch_chases call, valid for commits
+/// against the same owning Gpu (seed and path epoch).
+struct ChasePrefetch {
+  std::uint64_t gpu_seed = 0;
+  std::uint64_t epoch = 0;
+  /// chase_noise_seed hash -> chases; collisions resolved by the full spec.
+  std::unordered_map<std::uint64_t, std::vector<PrefetchedChase>> chases;
+
+  /// The prefetched chase of @p spec, or nullptr.
+  PrefetchedChase* find(const ChaseSpec& spec);
+};
+
 struct ChaseBatchOptions {
   /// Total parallelism including the calling thread; 1 = serial reference
   /// (strict spec order, no executor involved).
@@ -243,6 +281,10 @@ struct ChaseBatchOptions {
   exec::Executor* executor = nullptr;
   /// Optional replica + memo cache reused across calls (see ReplicaPool).
   ReplicaPool* pool = nullptr;
+  /// Optional prefetch table: a pending spec found here is committed from
+  /// its prefetched result instead of being executed (see prefetch_chases).
+  /// Ignored when it was taken against another seed or path epoch.
+  ChasePrefetch* prefetched = nullptr;
 };
 
 /// Deterministic noise-stream seed of one batched chase: a stable mix of the
@@ -264,6 +306,16 @@ std::uint64_t chase_noise_seed(std::uint64_t gpu_seed, const ChaseSpec& spec);
 std::vector<PChaseResult> run_chase_batch(
     sim::Gpu& gpu, std::span<const ChaseSpec> specs,
     const ChaseBatchOptions& options = {});
+
+/// Executes @p specs ahead of time, off the books (see file comment): each
+/// spec runs as its own unit on the pool's replicas, in parallel up to
+/// options.threads, resuming from the pool's current warm ledger. Memo hits
+/// and duplicates are skipped. Writes nothing a later batch reads — not the
+/// memo, memo_stats, the ledger, chase_cycles or serial_cycles; only the
+/// pool's replicas and reset_ns (host resources) grow. A pool whose epoch
+/// is stale yields an empty table.
+ChasePrefetch prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
+                              const ChaseBatchOptions& options = {});
 
 /// Plain-chase convenience wrapper: wraps each config in ChaseSpec::plain.
 std::vector<PChaseResult> run_pchase_batch(

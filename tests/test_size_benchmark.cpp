@@ -6,6 +6,8 @@
 
 #include "common/units.hpp"
 #include "exec/executor.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/batch.hpp"
 #include "sim/registry.hpp"
 
 namespace mt4g::core {
@@ -245,6 +247,96 @@ TEST(SizeBenchmark, Phase6BoundsFromSweepStrictlyDropChases) {
     EXPECT_EQ(seeded.exact_bytes, expansion.exact_bytes) << c.model;
     EXPECT_EQ(seeded.exact_bytes, spec.at(c.element).size_bytes) << c.model;
     EXPECT_LT(seeded.exact_chases, expansion.exact_chases) << c.model;
+  }
+}
+
+TEST(SizeBenchmark, SpeculativeBisectionBooksOnlyTheSerialWalk) {
+  // At sweep threads >= 3 the bisections run their next levels ahead of
+  // time; the walk must still book exactly the serial chases. Every result
+  // field and the pool's accounting must equal the threads == 1 run, and
+  // the prefetch counter proves the speculation fired (so the comparison is
+  // not vacuous). Cases: the L2 segment, the exact_fallback path and an
+  // upper_bound_hit search.
+  struct Case {
+    Element element;
+    std::uint64_t lower;
+    std::uint64_t upper;
+  };
+  exec::Executor executor(7);
+  const sim::GpuSpec& spec = sim::registry_get("TestGPU-NV");
+  obs::Metrics& metrics = obs::Metrics::instance();
+  for (const Case& c : {Case{Element::kL2, 4 * KiB, 128 * KiB},
+                        Case{Element::kL1, 8 * KiB, 128 * KiB},
+                        Case{Element::kL2, 4 * KiB, 16 * KiB}}) {
+    struct Run {
+      SizeBenchResult result;
+      runtime::ReplicaPool pool;
+      double prefetched = 0.0;
+    };
+    const auto run = [&](std::uint32_t threads) {
+      Run out;
+      sim::Gpu gpu(spec, 42);
+      SizeBenchOptions options;
+      options.target = target_for(spec.vendor, c.element);
+      options.lower = c.lower;
+      options.upper = c.upper;
+      options.stride = spec.at(c.element).sector_bytes;
+      options.sweep_threads = threads;
+      options.sweep_executor = &executor;
+      options.chase_pool = &out.pool;
+      metrics.reset();
+      metrics.enable();
+      out.result = run_size_benchmark(gpu, options);
+      for (const obs::MetricSample& sample : metrics.snapshot()) {
+        if (sample.name == "chase.prefetched") out.prefetched = sample.value;
+      }
+      metrics.disable();
+      metrics.reset();
+      return out;
+    };
+    const Run serial = run(1);
+    if (c.upper == 16 * KiB) {
+      EXPECT_TRUE(serial.result.upper_bound_hit);
+    } else if (c.element == Element::kL1) {
+      EXPECT_TRUE(serial.result.exact_fallback);
+    } else {
+      EXPECT_EQ(serial.result.exact_bytes, 32 * KiB);
+    }
+    for (const std::uint32_t threads : {2u, 3u, 4u, 8u}) {
+      const Run spec_run = run(threads);
+      const SizeBenchResult& a = serial.result;
+      const SizeBenchResult& b = spec_run.result;
+      const std::string where = "lower=" + std::to_string(c.lower) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(a.found, b.found) << where;
+      EXPECT_EQ(a.detected_bytes, b.detected_bytes) << where;
+      EXPECT_EQ(a.exact_bytes, b.exact_bytes) << where;
+      EXPECT_EQ(a.confidence, b.confidence) << where;
+      EXPECT_EQ(a.upper_bound_hit, b.upper_bound_hit) << where;
+      EXPECT_EQ(a.exact_fallback, b.exact_fallback) << where;
+      EXPECT_EQ(a.widenings, b.widenings) << where;
+      EXPECT_EQ(a.sweep_sizes, b.sweep_sizes) << where;
+      EXPECT_EQ(a.reduced, b.reduced) << where;
+      EXPECT_EQ(a.cycles, b.cycles) << where;
+      EXPECT_EQ(a.sweep_cycles, b.sweep_cycles) << where;
+      EXPECT_EQ(a.exact_chases, b.exact_chases) << where;
+      EXPECT_EQ(serial.pool.chase_cycles, spec_run.pool.chase_cycles) << where;
+      EXPECT_EQ(serial.pool.serial_cycles, spec_run.pool.serial_cycles)
+          << where;
+      EXPECT_EQ(serial.pool.memo_stats.hits, spec_run.pool.memo_stats.hits)
+          << where;
+      EXPECT_EQ(serial.pool.memo_stats.misses,
+                spec_run.pool.memo_stats.misses)
+          << where;
+      // An upper_bound_hit search ends before any bisection: nothing to
+      // speculate on.
+      if (threads >= 3 && !a.upper_bound_hit) {
+        EXPECT_GT(spec_run.prefetched, 0.0) << where;
+      } else {
+        EXPECT_EQ(spec_run.prefetched, 0.0) << where;
+      }
+    }
+    EXPECT_EQ(serial.prefetched, 0.0);
   }
 }
 

@@ -88,6 +88,97 @@ std::vector<PChaseResult> cold_reference(sim::Gpu& gpu,
   return run_chase_batch(gpu, specs);
 }
 
+// Everything a batch sequence leaves in a pool that later batches or the
+// report read: the booking totals, memo statistics and keys, and the
+// ledger's numeric walk records.
+void expect_same_books(const ReplicaPool& a, const ReplicaPool& b) {
+  EXPECT_EQ(a.chase_cycles, b.chase_cycles);
+  EXPECT_EQ(a.serial_cycles, b.serial_cycles);
+  EXPECT_EQ(a.memo_stats.hits, b.memo_stats.hits);
+  EXPECT_EQ(a.memo_stats.misses, b.memo_stats.misses);
+  EXPECT_EQ(a.warm_state_bytes, b.warm_state_bytes);
+  ASSERT_EQ(a.memo.size(), b.memo.size());
+  for (const auto& [hash, entries] : a.memo) {
+    const auto other = b.memo.find(hash);
+    ASSERT_NE(other, b.memo.end());
+    ASSERT_EQ(entries.size(), other->second.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_TRUE(entries[i].first == other->second[i].first);
+    }
+  }
+  ASSERT_EQ(a.warm_ledger.size(), b.warm_ledger.size());
+  for (const auto& [key, entries] : a.warm_ledger) {
+    const auto other = b.warm_ledger.find(key);
+    ASSERT_NE(other, b.warm_ledger.end());
+    ASSERT_EQ(entries.size(), other->second.size());
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      EXPECT_EQ(entries[i].steps, other->second[i].steps);
+      EXPECT_EQ(entries[i].cum_warm_cycles, other->second[i].cum_warm_cycles);
+    }
+  }
+}
+
+TEST(WarmSharing, CommittingAPrefetchedChaseEqualsExecutingIt) {
+  // Prefetch a chain's specs plus extras that are never committed, then
+  // commit a subset in separate batches (singletons and a mixed batch in
+  // which only some members were prefetched). A pool that executed the same
+  // commit sequence without prefetching must end with identical results,
+  // booking, memo and ledger records — for both engines and with the
+  // snapshot budget at zero. A prefetch followed by no commit leaves the
+  // books untouched.
+  sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
+  const auto specs = chain_specs(gpu);  // two chains of 12 walks
+  const std::vector<ChaseSpec> ahead = {specs[2], specs[5], specs[9],
+                                        specs[14], specs[20], specs[11]};
+  const std::vector<std::vector<ChaseSpec>> commits = {
+      {specs[5]},
+      {specs[2]},
+      {specs[9], specs[10], specs[14], specs[15]},
+      {specs[3]},
+  };
+  exec::Executor executor(3);
+  for (const auto engine : {PChaseEngine::kCompiled, PChaseEngine::kReference}) {
+    for (const std::uint64_t budget : {256ULL << 20, 0ULL}) {
+      ScopedPChaseEngine scope(engine);
+      ChaseBatchOptions options;
+      options.threads = 4;
+      options.executor = &executor;
+      ReplicaPool executed;
+      executed.warm_state_budget = budget;
+      ReplicaPool committed;
+      committed.warm_state_budget = budget;
+
+      // Seed both pools' ledgers with one shared batch, so prefetches
+      // resume from a non-empty ledger.
+      const std::vector<ChaseSpec> seed = {specs[0], specs[12]};
+      options.pool = &executed;
+      (void)run_chase_batch(gpu, seed, options);
+      options.pool = &committed;
+      (void)run_chase_batch(gpu, seed, options);
+
+      const std::uint64_t reset_before = committed.reset_ns;
+      ChasePrefetch table = prefetch_chases(gpu, ahead, options);
+      EXPECT_GT(committed.reset_ns, reset_before);  // it did execute
+      expect_same_books(executed, committed);  // ... but booked nothing
+      ASSERT_NE(table.find(specs[5]), nullptr);
+      EXPECT_EQ(table.find(specs[3]), nullptr);
+      EXPECT_EQ(table.find(specs[0]), nullptr);  // memo hit: skipped
+
+      for (const auto& batch : commits) {
+        options.pool = &executed;
+        options.prefetched = nullptr;
+        const auto want = run_chase_batch(gpu, batch, options);
+        options.pool = &committed;
+        options.prefetched = &table;
+        const auto got = run_chase_batch(gpu, batch, options);
+        EXPECT_TRUE(equal_results(want, got))
+            << "engine=" << static_cast<int>(engine) << " budget=" << budget;
+      }
+      expect_same_books(executed, committed);
+    }
+  }
+}
+
 TEST(WarmSharing, SharedTimedPassMatchesColdChaseForEveryShape) {
   sim::Gpu gpu(sim::registry_get("TestGPU-NV"), 42);
   const auto specs = mixed_specs(gpu);
