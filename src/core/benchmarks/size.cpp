@@ -29,16 +29,11 @@ struct Runner {
   /// phase 6 verifies every seed before trusting it.
   std::map<std::uint64_t, bool> sweep_fits;
 
-  /// Speculative chases of the current lookahead round; every chase of the
-  /// benchmark commits from here when its spec was prefetched.
-  runtime::ChasePrefetch prefetched;
-
-  runtime::ChaseBatchOptions batch_options() {
+  runtime::ChaseBatchOptions batch_options() const {
     runtime::ChaseBatchOptions batch;
     batch.threads = options.sweep_threads;
     batch.executor = options.sweep_executor;
     batch.pool = &pool;
-    batch.prefetched = &prefetched;
     return batch;
   }
 
@@ -95,15 +90,15 @@ struct Runner {
     return k >= 2 ? k : 0;
   }
 
-  /// Runs the chases of @p sizes ahead of time, off the books; the previous
-  /// round's unused results are dropped.
+  /// Runs the chases of @p sizes ahead of time, off the books, into the
+  /// pool's prefetch table; the previous round's unused results are
+  /// dropped.
   void prefetch(const std::vector<std::uint64_t>& sizes, bool full_pass) {
     std::vector<runtime::ChaseSpec> specs;
     for (const std::uint64_t size : sizes) {
       specs.push_back(runtime::ChaseSpec::plain(config_for(size, full_pass)));
     }
-    prefetched = {};
-    prefetched = runtime::prefetch_chases(gpu, specs, batch_options());
+    runtime::prefetch_chases(gpu, specs, batch_options());
   }
 
   std::uint64_t midpoint(std::uint64_t lo, std::uint64_t hi) const {
@@ -135,8 +130,10 @@ struct Runner {
     while (hi - lo > span) {
       const std::uint64_t mid = midpoint(lo, hi);
       if (mid <= lo || mid >= hi) break;
-      if (levels > 0 && prefetched.find(runtime::ChaseSpec::plain(
-                            config_for(mid, full_pass))) == nullptr) {
+      if (levels > 0 &&
+          !runtime::is_prefetched(
+              gpu, pool,
+              runtime::ChaseSpec::plain(config_for(mid, full_pass)))) {
         std::vector<std::uint64_t> sizes;
         collect_midpoints(lo, hi, span, levels, sizes);
         prefetch(sizes, full_pass);
@@ -147,7 +144,7 @@ struct Runner {
         hi = mid;
       }
     }
-    prefetched = {};
+    pool.prefetched.clear();  // the last round's off-path results
   }
 };
 

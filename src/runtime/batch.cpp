@@ -237,23 +237,28 @@ const WarmStateEntry* resume_point(const ReplicaPool& pool, const WarmKey& key,
 /// order) warms incrementally from its resume point and snapshot/restores
 /// around each bounded timed pass; anything else is one cold chase.
 struct Unit {
-  std::vector<std::size_t> ks;  ///< pending indices, walk order
+  /// Its pending indices: order[first, first + count) of the batch's one
+  /// flat index array, in walk order.
+  std::size_t first = 0;
+  std::size_t count = 1;
   bool warm = false;
   const WarmStateEntry* restore = nullptr;  ///< ledger resume point
   /// Receives the warm state right before the last member's timed pass.
   WarmStateEntry* save = nullptr;
 };
 
-/// The execute half of a batch: runs @p units on the pool's replicas, one
-/// replica per participant slot, and fills the raw result and the
-/// cold-equivalent cumulative warm total (warm_full) of every pending index
-/// the units hold. Besides those outputs and the units' save targets it
-/// touches only the pool's replicas and reset_ns. Ledger entries are read,
-/// never written, so the units' restore pointers stay valid throughout.
+/// The execute half of a batch: runs @p units (ranges of @p order) on the
+/// pool's replicas, one replica per participant slot, and fills the raw
+/// result and the cold-equivalent cumulative warm total (warm_full) of every
+/// pending index the units hold. Besides those outputs and the units' save
+/// targets it touches only the pool's replicas and reset_ns. Ledger entries
+/// are read, never written, so the units' restore pointers stay valid
+/// throughout.
 void execute_units(sim::Gpu& gpu, ReplicaPool& pool,
                    std::span<const ChaseSpec> specs,
                    const std::vector<std::size_t>& pending,
                    const std::vector<std::uint64_t>& pending_hash,
+                   std::span<const std::size_t> order,
                    const std::vector<Unit>& units,
                    const ChaseBatchOptions& options,
                    std::vector<PChaseResult>& results,
@@ -275,6 +280,8 @@ void execute_units(sim::Gpu& gpu, ReplicaPool& pool,
 
   const auto run_unit = [&](std::size_t u, std::uint32_t slot) {
     const Unit& unit = units[u];
+    const std::span<const std::size_t> ks =
+        order.subspan(unit.first, unit.count);
     sim::Gpu& replica = pool.replicas[slot];
     {
       const obs::SpanGuard reset_span("replica.reset");
@@ -283,7 +290,7 @@ void execute_units(sim::Gpu& gpu, ReplicaPool& pool,
       if (!unit.warm) {
         // The memo key IS the noise-stream seed (both are the full spec
         // fold).
-        replica.reseed_noise(pending_hash[unit.ks.front()]);
+        replica.reseed_noise(pending_hash[ks.front()]);
       }
       const std::uint64_t reset_ns = obs::monotonic_ns() - reset_start;
       slot_reset_ns[slot] += reset_ns;
@@ -294,14 +301,14 @@ void execute_units(sim::Gpu& gpu, ReplicaPool& pool,
     }
     const ScopedPChaseEngine scope(engine);  // workers default to kCompiled
     if (!unit.warm) {
-      const std::size_t k = unit.ks.front();
+      const std::size_t k = ks.front();
       const obs::SpanGuard chase_span("chase.run");
       results[pending[k]] = run_chase(replica, specs[pending[k]]);
       warm_full[k] = results[pending[k]].warm_cycles;
       return;
     }
     // Warm-sharing unit: one incremental warm walk, many timed passes.
-    const PChaseConfig& head = specs[pending[unit.ks.front()]].config;
+    const PChaseConfig& head = specs[pending[ks.front()]].config;
     const sim::AccessPath path =
         replica.compile_path(head.where, head.space, head.flags);
     std::uint64_t cur_steps = 0;
@@ -311,8 +318,8 @@ void execute_units(sim::Gpu& gpu, ReplicaPool& pool,
       cur_steps = unit.restore->steps;
       cum_warm = unit.restore->cum_warm_cycles;
     }
-    for (std::size_t i = 0; i < unit.ks.size(); ++i) {
-      const std::size_t k = unit.ks[i];
+    for (std::size_t i = 0; i < ks.size(); ++i) {
+      const std::size_t k = ks[i];
       const std::size_t index = pending[k];
       const PChaseConfig& config = specs[index].config;
       const std::uint64_t steps = walk_steps_of(config);
@@ -323,7 +330,7 @@ void execute_units(sim::Gpu& gpu, ReplicaPool& pool,
         cur_steps = steps;
       }
       warm_full[k] = cum_warm;
-      const bool last = i + 1 == unit.ks.size();
+      const bool last = i + 1 == ks.size();
       if (last && unit.save != nullptr) {
         replica.snapshot_path(path, unit.save->state);
         unit.save->has_state = true;
@@ -393,14 +400,29 @@ void resolve_memo(const sim::Gpu& gpu, const ReplicaPool& pool,
   }
 }
 
-PrefetchedChase* find_prefetched(ChasePrefetch& table, std::uint64_t hash,
+/// The pool's prefetched chase of @p spec, or nullptr.
+PrefetchedChase* find_prefetched(ReplicaPool& pool, std::uint64_t hash,
                                  const ChaseSpec& spec) {
-  const auto bucket = table.chases.find(hash);
-  if (bucket == table.chases.end()) return nullptr;
+  const auto bucket = pool.prefetched.find(hash);
+  if (bucket == pool.prefetched.end()) return nullptr;
   const auto hit = std::find_if(
       bucket->second.begin(), bucket->second.end(),
       [&](const PrefetchedChase& chase) { return chase.spec == spec; });
   return hit == bucket->second.end() ? nullptr : &*hit;
+}
+
+/// Binds @p pool to the owning Gpu's current path epoch. After a cache
+/// rebuild the replicas hold the old geometry, and memo results, warm
+/// states and prefetched chases were measured against it.
+void sync_epoch(const sim::Gpu& gpu, ReplicaPool& pool) {
+  if (pool.epoch != gpu.path_epoch()) {
+    pool.replicas.clear();
+    pool.memo.clear();
+    pool.warm_ledger.clear();
+    pool.warm_state_bytes = 0;
+    pool.prefetched.clear();
+  }
+  pool.epoch = gpu.path_epoch();
 }
 
 }  // namespace
@@ -419,8 +441,14 @@ PChaseResult run_chase(sim::Gpu& gpu, const ChaseSpec& spec) {
   return {};
 }
 
-PrefetchedChase* ChasePrefetch::find(const ChaseSpec& spec) {
-  return find_prefetched(*this, chase_noise_seed(gpu_seed, spec), spec);
+bool is_prefetched(const sim::Gpu& gpu, const ReplicaPool& pool,
+                   const ChaseSpec& spec) {
+  const auto bucket = pool.prefetched.find(chase_noise_seed(gpu.seed(), spec));
+  return bucket != pool.prefetched.end() &&
+         std::any_of(bucket->second.begin(), bucket->second.end(),
+                     [&](const PrefetchedChase& chase) {
+                       return chase.spec == spec;
+                     });
 }
 
 std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
@@ -432,15 +460,7 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
 
   ReplicaPool local_pool;
   ReplicaPool& pool = options.pool ? *options.pool : local_pool;
-  if (pool.epoch != gpu.path_epoch()) {
-    // The owning Gpu rebuilt caches: replicas hold the old geometry, and
-    // memo results / warm states were measured against it.
-    pool.replicas.clear();
-    pool.memo.clear();
-    pool.warm_ledger.clear();
-    pool.warm_state_bytes = 0;
-  }
-  pool.epoch = gpu.path_epoch();
+  sync_epoch(gpu, pool);
 
   std::vector<std::size_t> pending;          // first occurrences to execute
   std::vector<std::uint64_t> pending_hash;   // their memo keys
@@ -466,12 +486,10 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // plan and the booking below treat it exactly like an executed chase.
     std::vector<std::uint64_t> warm_full(pending.size(), 0);
     std::vector<PrefetchedChase*> prefetched(pending.size(), nullptr);
-    ChasePrefetch* table = options.prefetched;
-    if (table != nullptr && table->gpu_seed == gpu.seed() &&
-        table->epoch == gpu.path_epoch()) {
+    if (!pool.prefetched.empty()) {
       for (std::size_t k = 0; k < pending.size(); ++k) {
         prefetched[k] =
-            find_prefetched(*table, pending_hash[k], specs[pending[k]]);
+            find_prefetched(pool, pending_hash[k], specs[pending[k]]);
         if (prefetched[k] == nullptr) continue;
         results[pending[k]] = prefetched[k]->result;
         warm_full[k] = prefetched[k]->warm_full;
@@ -532,6 +550,8 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
     // resamples, and every chain member under the reference engine) runs as
     // a cold singleton.
     const bool compiled = pchase_engine() == PChaseEngine::kCompiled;
+    std::vector<std::size_t> order;  // every unit's pending indices
+    order.reserve(pending.size());
     std::vector<Unit> units;
     for (auto& [key, chain] : chains) {
       const std::size_t longest = chain.members.back().k;
@@ -544,24 +564,27 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
       if (!compiled) continue;
       for (const std::vector<std::size_t>& chunk : chain.chunks) {
         Unit unit;
+        unit.first = order.size();
         unit.warm = true;
         for (const std::size_t k : chunk) {
-          if (prefetched[k] == nullptr) unit.ks.push_back(k);
+          if (prefetched[k] == nullptr) order.push_back(k);
         }
-        if (unit.ks.empty()) continue;
+        unit.count = order.size() - unit.first;
+        if (unit.count == 0) continue;
         unit.restore = resume_point(
-            pool, key, walk_steps_of(specs[pending[unit.ks.front()]].config));
-        if (unit.ks.back() == longest) unit.save = &chain.end_state;
-        units.push_back(std::move(unit));
+            pool, key, walk_steps_of(specs[pending[order[unit.first]]].config));
+        if (order.back() == longest) unit.save = &chain.end_state;
+        units.push_back(unit);
       }
     }
     for (std::size_t k = 0; k < pending.size(); ++k) {
       if (prefetched[k] == nullptr && (!compiled || !in_chain[k])) {
-        units.push_back(Unit{{k}});
+        units.push_back(Unit{order.size()});
+        order.push_back(k);
       }
     }
-    execute_units(gpu, pool, specs, pending, pending_hash, units, options,
-                  results, warm_full);
+    execute_units(gpu, pool, specs, pending, pending_hash, order, units,
+                  options, results, warm_full);
 
     // ---- Engine-independent booking + ledger update (in chain order) ------
     // Each chain member is charged the incremental warm cost over its
@@ -659,17 +682,13 @@ std::vector<PChaseResult> run_chase_batch(sim::Gpu& gpu,
   return results;
 }
 
-ChasePrefetch prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
-                              const ChaseBatchOptions& options) {
-  ChasePrefetch table;
-  table.gpu_seed = gpu.seed();
-  table.epoch = gpu.path_epoch();
-  ReplicaPool local_pool;
-  local_pool.epoch = gpu.path_epoch();
-  ReplicaPool& pool = options.pool ? *options.pool : local_pool;
-  // A stale pool's replicas and ledger hold the old cache geometry, and
-  // only the next batch may clear them.
-  if (specs.empty() || pool.epoch != gpu.path_epoch()) return table;
+void prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
+                     const ChaseBatchOptions& options) {
+  if (options.pool == nullptr) return;
+  ReplicaPool& pool = *options.pool;
+  sync_epoch(gpu, pool);
+  pool.prefetched.clear();  // the previous round's off-path results
+  if (specs.empty()) return;
   const obs::SpanGuard prefetch_span("chase.prefetch");
 
   std::vector<std::size_t> pending;
@@ -677,31 +696,31 @@ ChasePrefetch prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
   resolve_memo(
       gpu, pool, specs, pending, pending_hash,
       [](std::size_t, const PChaseResult&) {}, [](std::size_t, std::size_t) {});
-  if (pending.empty()) return table;
+  if (pending.empty()) return;
 
   // Every spec is its own unit, so each is a chain's longest walk at its
   // own commit unless that batch extends the chain: capture every warm end.
   const bool compiled = pchase_engine() == PChaseEngine::kCompiled;
   std::vector<WarmStateEntry> end_states(pending.size());
-  std::vector<Unit> units;
-  units.reserve(pending.size());
+  std::vector<std::size_t> order(pending.size());
+  std::vector<Unit> units(pending.size());
   for (std::size_t k = 0; k < pending.size(); ++k) {
-    Unit unit{{k}};
+    order[k] = k;
+    units[k].first = k;
     const ChaseSpec& spec = specs[pending[k]];
     if (const auto key = warm_key_of(spec); compiled && key) {
-      unit.warm = true;
-      unit.restore = resume_point(pool, *key, walk_steps_of(spec.config));
-      unit.save = &end_states[k];
+      units[k].warm = true;
+      units[k].restore = resume_point(pool, *key, walk_steps_of(spec.config));
+      units[k].save = &end_states[k];
     }
-    units.push_back(std::move(unit));
   }
   std::vector<PChaseResult> results(specs.size());
   std::vector<std::uint64_t> warm_full(pending.size(), 0);
-  execute_units(gpu, pool, specs, pending, pending_hash, units, options,
+  execute_units(gpu, pool, specs, pending, pending_hash, order, units, options,
                 results, warm_full);
 
   for (std::size_t k = 0; k < pending.size(); ++k) {
-    table.chases[pending_hash[k]].push_back(
+    pool.prefetched[pending_hash[k]].push_back(
         {specs[pending[k]], std::move(results[pending[k]]), warm_full[k],
          std::move(end_states[k].state), end_states[k].has_state});
   }
@@ -709,7 +728,6 @@ ChasePrefetch prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
     obs::Metrics::instance().add("chase.prefetched",
                                  static_cast<double>(pending.size()));
   }
-  return table;
 }
 
 std::vector<PChaseResult> run_pchase_batch(sim::Gpu& gpu,

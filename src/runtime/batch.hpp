@@ -53,12 +53,13 @@
 // its cold-equivalent cumulative warm total and, for a chain's longest
 // walk, its warm-end snapshot) followed by a booking half (the booking rule,
 // ledger insert, serial depth and memo insert). prefetch_chases() runs only
-// the execute half, for chases a serial caller may need next, and books
-// nothing. A later run_chase_batch handed that table commits a pending spec
-// from it instead of executing it; because the execute half's outputs do
-// not depend on history, committing a prefetched chase is indistinguishable
-// from executing it, and speculated chases that are never committed leave
-// no trace in the booking, the memo or the ledger.
+// the execute half, for chases a serial caller may need next, parks the
+// outputs in the pool's prefetch table and books nothing. A later
+// run_chase_batch on that pool commits a pending spec from the table
+// instead of executing it; because the execute half's outputs do not depend
+// on history, committing a prefetched chase is indistinguishable from
+// executing it, and speculated chases that are never committed leave no
+// trace in the booking, the memo or the ledger.
 #pragma once
 
 #include <cstdint>
@@ -184,6 +185,20 @@ struct WarmStateEntry {
   bool has_state = false;
 };
 
+/// One speculatively executed chase (see prefetch_chases): exactly what the
+/// execute half of run_chase_batch would have produced for it, before any
+/// booking.
+struct PrefetchedChase {
+  ChaseSpec spec;
+  PChaseResult result;          ///< raw measurement, cycles not yet booked
+  std::uint64_t warm_full = 0;  ///< cold-equivalent cumulative warm cycles
+  /// Warm state at the end of its warm walk (compiled-engine chain chases
+  /// only); a commit moves it into the ledger when the chase is the longest
+  /// walk of its chain.
+  sim::PathSnapshot end_state;
+  bool has_end_state = false;
+};
+
 /// Reusable replicas + chase-result memo for repeated batch calls against
 /// the same owning Gpu. Both are rebuilt automatically when the owning Gpu
 /// invalidated its compiled paths (cache rebuild via
@@ -245,32 +260,11 @@ struct ReplicaPool {
   /// threads, engine, or scheduling.
   std::uint64_t chase_cycles = 0;
   std::uint64_t serial_cycles = 0;
-};
-
-/// One speculatively executed chase (see prefetch_chases): exactly what the
-/// execute half of run_chase_batch would have produced for it, before any
-/// booking.
-struct PrefetchedChase {
-  ChaseSpec spec;
-  PChaseResult result;          ///< raw measurement, cycles not yet booked
-  std::uint64_t warm_full = 0;  ///< cold-equivalent cumulative warm cycles
-  /// Warm state at the end of its warm walk (compiled-engine chain chases
-  /// only); a commit moves it into the ledger when the chase is the longest
-  /// walk of its chain.
-  sim::PathSnapshot end_state;
-  bool has_end_state = false;
-};
-
-/// The speculative results of one prefetch_chases call, valid for commits
-/// against the same owning Gpu (seed and path epoch).
-struct ChasePrefetch {
-  std::uint64_t gpu_seed = 0;
-  std::uint64_t epoch = 0;
-  /// chase_noise_seed hash -> chases; collisions resolved by the full spec.
-  std::unordered_map<std::uint64_t, std::vector<PrefetchedChase>> chases;
-
-  /// The prefetched chase of @p spec, or nullptr.
-  PrefetchedChase* find(const ChaseSpec& spec);
+  /// Speculative chases of the latest prefetch_chases call, keyed like the
+  /// memo; a batch commits a pending spec from here instead of executing
+  /// it. Each prefetch replaces the table, so off-path results live until
+  /// the next round. Cleared with the memo on an epoch change.
+  std::unordered_map<std::uint64_t, std::vector<PrefetchedChase>> prefetched;
 };
 
 struct ChaseBatchOptions {
@@ -281,10 +275,6 @@ struct ChaseBatchOptions {
   exec::Executor* executor = nullptr;
   /// Optional replica + memo cache reused across calls (see ReplicaPool).
   ReplicaPool* pool = nullptr;
-  /// Optional prefetch table: a pending spec found here is committed from
-  /// its prefetched result instead of being executed (see prefetch_chases).
-  /// Ignored when it was taken against another seed or path epoch.
-  ChasePrefetch* prefetched = nullptr;
 };
 
 /// Deterministic noise-stream seed of one batched chase: a stable mix of the
@@ -307,15 +297,20 @@ std::vector<PChaseResult> run_chase_batch(
     sim::Gpu& gpu, std::span<const ChaseSpec> specs,
     const ChaseBatchOptions& options = {});
 
-/// Executes @p specs ahead of time, off the books (see file comment): each
-/// spec runs as its own unit on the pool's replicas, in parallel up to
+/// Executes @p specs ahead of time, off the books (see file comment), and
+/// replaces options.pool's prefetch table with their outputs: each spec
+/// runs as its own unit on the pool's replicas, in parallel up to
 /// options.threads, resuming from the pool's current warm ledger. Memo hits
-/// and duplicates are skipped. Writes nothing a later batch reads — not the
-/// memo, memo_stats, the ledger, chase_cycles or serial_cycles; only the
-/// pool's replicas and reset_ns (host resources) grow. A pool whose epoch
-/// is stale yields an empty table.
-ChasePrefetch prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
-                              const ChaseBatchOptions& options = {});
+/// and duplicates are skipped. Writes nothing else a later batch reads —
+/// not the memo, memo_stats, the ledger, chase_cycles or serial_cycles;
+/// only the pool's replicas and reset_ns (host resources) grow. Without
+/// options.pool there is nothing to commit from, so nothing runs.
+void prefetch_chases(sim::Gpu& gpu, std::span<const ChaseSpec> specs,
+                     const ChaseBatchOptions& options);
+
+/// Whether @p spec waits in @p pool's prefetch table (see prefetch_chases).
+bool is_prefetched(const sim::Gpu& gpu, const ReplicaPool& pool,
+                   const ChaseSpec& spec);
 
 /// Plain-chase convenience wrapper: wraps each config in ChaseSpec::plain.
 std::vector<PChaseResult> run_pchase_batch(

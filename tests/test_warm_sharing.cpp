@@ -157,19 +157,18 @@ TEST(WarmSharing, CommittingAPrefetchedChaseEqualsExecutingIt) {
       (void)run_chase_batch(gpu, seed, options);
 
       const std::uint64_t reset_before = committed.reset_ns;
-      ChasePrefetch table = prefetch_chases(gpu, ahead, options);
+      prefetch_chases(gpu, ahead, options);
       EXPECT_GT(committed.reset_ns, reset_before);  // it did execute
       expect_same_books(executed, committed);  // ... but booked nothing
-      ASSERT_NE(table.find(specs[5]), nullptr);
-      EXPECT_EQ(table.find(specs[3]), nullptr);
-      EXPECT_EQ(table.find(specs[0]), nullptr);  // memo hit: skipped
+      EXPECT_TRUE(is_prefetched(gpu, committed, specs[5]));
+      EXPECT_FALSE(is_prefetched(gpu, committed, specs[3]));
+      EXPECT_FALSE(is_prefetched(gpu, committed, specs[0]));  // memo hit
+      EXPECT_FALSE(is_prefetched(gpu, executed, specs[5]));
 
       for (const auto& batch : commits) {
         options.pool = &executed;
-        options.prefetched = nullptr;
         const auto want = run_chase_batch(gpu, batch, options);
         options.pool = &committed;
-        options.prefetched = &table;
         const auto got = run_chase_batch(gpu, batch, options);
         EXPECT_TRUE(equal_results(want, got))
             << "engine=" << static_cast<int>(engine) << " budget=" << budget;
